@@ -15,7 +15,9 @@ cd "$(dirname "$0")"
 echo "=== tier 1: build + full test suite ==="
 cmake -B build -S .
 cmake --build build -j
+SECONDS=0
 ctest --test-dir build --output-on-failure -j
+echo "tier 1: ctest wall time ${SECONDS} s"
 
 echo "=== tier 2: ASan/UBSan on obs + io + itask suites ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"

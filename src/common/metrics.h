@@ -2,6 +2,7 @@
 #ifndef ITASK_COMMON_METRICS_H_
 #define ITASK_COMMON_METRICS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -9,89 +10,129 @@
 
 namespace itask::common {
 
+// How RunMetrics::Merge folds a field of another record into this one.
+enum class FoldRule : std::uint8_t {
+  kSum,    // Counters and summed times.
+  kMax,    // Peaks and wall time.
+  kOr,     // "Any input saw it" flags.
+  kAnd,    // "Every input did it" flags.
+  kXor,    // Order-independent fingerprints.
+  kMerge,  // Histograms, bucket-wise (obs::HistogramSnapshot::Merge).
+};
+
+// The RunMetrics field table, one X(type, name, fold rule) entry per field,
+// in wire order. It declares the members; Merge, the wire codec and its
+// version (net/metrics_wire.h) and chaos_run's per-job JSON walk it, so
+// adding a counter is one line here plus the code that fills it.
+//
+// No field has a scope rule. Per-node sources (IrsRuntime::NodeMetrics, the
+// regular harness) fill only heap, spill, I/O, scheduler and Table-2 fields;
+// job-wide sources (the shuffle fabric, the recovery context, the tracer)
+// fill the rest once, after the per-node fold; callers stamp wall_ms and
+// succeeded last. So one Merge serves node -> job, process -> cluster and
+// job -> rollup folds without double-counting.
+#define ITASK_RUN_METRICS_FIELDS(X)                                                   \
+  X(bool, succeeded, kAnd)                                                            \
+  X(bool, out_of_memory, kOr)                                                         \
+  /* End-to-end wall time (includes GC pauses). */                                    \
+  X(double, wall_ms, kMax)                                                            \
+  /* Stop-the-world collector time, summed across nodes. */                           \
+  X(double, gc_ms, kSum)                                                              \
+  X(std::uint64_t, gc_count, kSum)                                                    \
+  X(std::uint64_t, lugc_count, kSum)                                                  \
+  /* Max over nodes of per-node peak usage (node-lifetime, not per job). */           \
+  X(std::uint64_t, peak_heap_bytes, kMax)                                             \
+  /* ITask-specific counters (zero for regular executions). */                        \
+  X(std::uint64_t, interrupts, kSum)                                                  \
+  X(std::uint64_t, ome_interrupts, kSum)                                              \
+  X(std::uint64_t, reactivations, kSum)                                               \
+  /* Interrupt victims the scheduler selected (paper 5.4 rules). Every scale-loop  */ \
+  /* interrupt on a non-aborted run is explained by a victim request, an OME or a  */ \
+  /* fence; IrsAuditor checks that inequality (invariant T3).                      */ \
+  X(std::uint64_t, victim_requests, kSum)                                             \
+  /* Scale-loop interrupts forced by a node fence (failure injection or death). */    \
+  X(std::uint64_t, fence_interrupts, kSum)                                            \
+  X(std::uint64_t, spilled_bytes, kSum)                                               \
+  X(std::uint64_t, loaded_bytes, kSum)                                                \
+  /* Spill reloads re-attempted after read faults. */                                 \
+  X(std::uint64_t, load_retries, kSum)                                                \
+  /* Staged-release savings breakdown (paper Table 2), in bytes. */                   \
+  X(std::uint64_t, released_processed_input_bytes, kSum)                              \
+  X(std::uint64_t, released_final_result_bytes, kSum)                                 \
+  X(std::uint64_t, parked_intermediate_bytes, kSum)                                   \
+  X(std::uint64_t, lazy_serialized_bytes, kSum)                                       \
+  /* Async spill I/O engine (zero with synchronous I/O): queued writes served  */     \
+  /* from memory and their bytes, codec payload and on-disk bytes, and the     */     \
+  /* total consumer-visible read stall.                                        */     \
+  X(std::uint64_t, io_cancelled_writes, kSum)                                         \
+  X(std::uint64_t, io_cancelled_write_bytes, kSum)                                    \
+  X(std::uint64_t, io_raw_bytes, kSum)                                                \
+  X(std::uint64_t, io_framed_bytes, kSum)                                             \
+  X(double, io_read_stall_ms, kSum)                                                   \
+  /* Net transport, job-wide from the shuffle fabric (zero on inproc): coalesced */   \
+  /* frames, wire bytes incl. headers, producer stalls on a full queue, batches  */   \
+  /* requeued for reconnect, deliveries retried on a lost ack, receiver dedup.   */   \
+  X(std::uint64_t, net_msgs_sent, kSum)                                               \
+  X(std::uint64_t, net_frames_sent, kSum)                                             \
+  X(std::uint64_t, net_bytes_sent, kSum)                                              \
+  X(std::uint64_t, net_send_stalls, kSum)                                             \
+  X(double, net_stall_ms, kSum)                                                       \
+  X(std::uint64_t, net_send_retries, kSum)                                            \
+  X(std::uint64_t, net_ack_timeouts, kSum)                                            \
+  X(std::uint64_t, net_dup_payloads_dropped, kSum)                                    \
+  X(std::uint64_t, net_heartbeats_sent, kSum)                                         \
+  /* Send-queue depth at enqueue. */                                                  \
+  X(obs::HistogramSnapshot, net_queue_depth_hist, kMerge)                             \
+  /* Fault tolerance, job-wide from the recovery context (zero when disabled): */     \
+  /* nodes declared dead or demoted to draining, lineage re-executions, delivery */   \
+  /* attempts beyond the first, ledger re-sends after a death, dedup audit.      */   \
+  X(std::uint64_t, nodes_failed, kSum)                                                \
+  X(std::uint64_t, nodes_draining, kSum)                                              \
+  X(std::uint64_t, splits_reexecuted, kSum)                                           \
+  X(std::uint64_t, shuffle_retries, kSum)                                             \
+  X(std::uint64_t, shuffle_redeliveries, kSum)                                        \
+  X(std::uint64_t, duplicate_tuples_dropped, kSum)                                    \
+  /* Pressure-driven migration, job-wide: victims shipped to a peer instead of */     \
+  /* disk, their payload bytes, and broker refusals (stale/full/cost/ineligible). */  \
+  X(std::uint64_t, partitions_migrated, kSum)                                         \
+  X(std::uint64_t, migrated_bytes, kSum)                                              \
+  X(std::uint64_t, migrations_rejected, kSum)                                         \
+  /* Network faults and resilience, job-wide: fault-engine decisions that fired, */   \
+  /* kDisconnected nodes whose beats came back, BackoffUse retries and give-ups. */   \
+  X(std::uint64_t, net_faults_injected, kSum)                                         \
+  X(std::uint64_t, partitions_healed, kSum)                                           \
+  X(std::uint64_t, backoff_retries, kSum)                                             \
+  X(std::uint64_t, backoff_giveups, kSum)                                             \
+  /* Tracer ring overwrites before any drain saw them: non-zero means the trace */    \
+  /* (and anything derived from it) undercounts.                                */    \
+  X(std::uint64_t, events_dropped, kSum)                                              \
+  /* Result fingerprint for cross-checking regular vs ITask runs. */                  \
+  X(std::uint64_t, result_checksum, kXor)                                             \
+  X(std::uint64_t, result_records, kSum)                                              \
+  /* Latency distributions from the obs registry (empty for regular runs). */         \
+  X(obs::HistogramSnapshot, gc_pause_hist, kMerge)                                    \
+  X(obs::HistogramSnapshot, interrupt_latency_hist, kMerge)                           \
+  X(obs::HistogramSnapshot, io_read_stall_hist, kMerge)
+
 // Outcome of one execution of a data-parallel job on the simulated cluster.
 struct RunMetrics {
-  bool succeeded = false;
-  bool out_of_memory = false;
+#define ITASK_DECLARE_RUN_METRICS_FIELD(type, name, rule) type name{};
+  ITASK_RUN_METRICS_FIELDS(ITASK_DECLARE_RUN_METRICS_FIELD)
+#undef ITASK_DECLARE_RUN_METRICS_FIELD
 
-  double wall_ms = 0.0;       // End-to-end wall time (includes GC pauses).
-  double gc_ms = 0.0;         // Total stop-the-world collector time across nodes.
-  std::uint64_t gc_count = 0;
-  std::uint64_t lugc_count = 0;
+  // Calls f(name, field, rule) for every field, in table order. M is
+  // RunMetrics or const RunMetrics.
+  template <class M, class F>
+  static void ForEachField(M& m, F&& f) {
+#define ITASK_VISIT_RUN_METRICS_FIELD(type, name, rule) f(#name, m.name, FoldRule::rule);
+    ITASK_RUN_METRICS_FIELDS(ITASK_VISIT_RUN_METRICS_FIELD)
+#undef ITASK_VISIT_RUN_METRICS_FIELD
+  }
 
-  std::uint64_t peak_heap_bytes = 0;  // Max over nodes of per-node peak usage.
-
-  // ITask-specific counters (zero for regular executions).
-  std::uint64_t interrupts = 0;
-  std::uint64_t ome_interrupts = 0;
-  std::uint64_t reactivations = 0;
-  // Interrupt victims the scheduler selected (§5.4 rules). Every scale-loop
-  // interrupt on a non-aborted run is explained by a victim request or an
-  // OME; IrsAuditor checks that inequality (invariant T3).
-  std::uint64_t victim_requests = 0;
-  // Scale-loop interrupts forced by a node fence (failure injection or death
-  // declaration); a third legitimate cause in the T3 accounting.
-  std::uint64_t fence_interrupts = 0;
-  std::uint64_t spilled_bytes = 0;
-  std::uint64_t loaded_bytes = 0;
-  std::uint64_t load_retries = 0;  // Spill reloads re-attempted after read faults.
-
-  // Staged-release savings breakdown (paper Table 2), in bytes.
-  std::uint64_t released_processed_input_bytes = 0;
-  std::uint64_t released_final_result_bytes = 0;
-  std::uint64_t parked_intermediate_bytes = 0;
-  std::uint64_t lazy_serialized_bytes = 0;
-
-  // Async spill I/O engine counters (zero when running with synchronous I/O).
-  std::uint64_t io_cancelled_writes = 0;        // Queued writes served from memory.
-  std::uint64_t io_cancelled_write_bytes = 0;   // Bytes that never touched disk.
-  std::uint64_t io_raw_bytes = 0;               // Payload bytes the codec framed.
-  std::uint64_t io_framed_bytes = 0;            // On-disk bytes after compression.
-  double io_read_stall_ms = 0.0;                // Total consumer-visible stall.
-
-  // Net-transport counters (zero on the inproc path). Filled job-wide from
-  // the shuffle fabric's stats, not per node — AccumulateNode leaves them
-  // alone so the fold doesn't double-count.
-  std::uint64_t net_msgs_sent = 0;
-  std::uint64_t net_frames_sent = 0;          // Coalesced batches on the wire.
-  std::uint64_t net_bytes_sent = 0;           // Wire bytes incl. frame headers.
-  std::uint64_t net_send_stalls = 0;          // Producer blocked on a full queue.
-  double net_stall_ms = 0.0;                  // Total producer-visible stall.
-  std::uint64_t net_send_retries = 0;         // Batches requeued for reconnect.
-  std::uint64_t net_ack_timeouts = 0;         // Deliveries retried on a lost ack.
-  std::uint64_t net_dup_payloads_dropped = 0; // Receiver-side transport dedup.
-  std::uint64_t net_heartbeats_sent = 0;
-  obs::HistogramSnapshot net_queue_depth_hist;  // Send-queue depth at enqueue.
-
-  // Fault-tolerance counters (zero when recovery is disabled or fault-free).
-  std::uint64_t nodes_failed = 0;            // Nodes declared dead mid-job.
-  std::uint64_t nodes_draining = 0;          // Nodes demoted after escaped OME.
-  std::uint64_t splits_reexecuted = 0;       // Lineage re-executions of input splits.
-  std::uint64_t shuffle_retries = 0;         // Delivery attempts beyond the first.
-  std::uint64_t shuffle_redeliveries = 0;    // Ledger entries re-sent after a death.
-  std::uint64_t duplicate_tuples_dropped = 0;  // Dedup-layer audit counter.
-
-  // Pressure-driven migration counters (zero unless the SERIALIZE action
-  // shipped partitions to a peer). Filled job-wide from the recovery
-  // context's stats like the other fault-tolerance counters above —
-  // AccumulateNode leaves them alone so the fold doesn't double-count.
-  std::uint64_t partitions_migrated = 0;   // Victims shipped to a peer instead of disk.
-  std::uint64_t migrated_bytes = 0;        // Payload bytes those victims carried.
-  std::uint64_t migrations_rejected = 0;   // Broker said no (stale/full/cost/ineligible).
-
-  // Network-fault / resilience counters (zero unless a NetFaultPlan is active
-  // or the ctrl plane saw disconnects). Job-wide like the net counters above —
-  // AccumulateNode leaves them alone so the fold doesn't double-count.
-  std::uint64_t net_faults_injected = 0;  // Fault-engine decisions that fired.
-  std::uint64_t ctrl_reconnects = 0;      // Ctrl sessions resumed under the old id.
-  std::uint64_t partitions_healed = 0;    // kDisconnected nodes whose beats came back.
-  std::uint64_t backoff_retries = 0;      // Retries across every BackoffUse policy.
-  std::uint64_t backoff_giveups = 0;      // Backoff sessions that exhausted budget.
-
-  // Tracer ring-overflow count: events overwritten before any drain saw them.
-  // Non-zero means the trace (and anything derived from it) undercounts.
-  // Job-wide from the cluster tracer, like the net counters above.
-  std::uint64_t events_dropped = 0;
+  // Folds |other| into this record, each field by its table rule. succeeded
+  // ANDs, so a rollup either starts from a copy of its first input or seeds
+  // succeeded = true.
+  void Merge(const RunMetrics& other);
 
   // framed/raw over everything written; 1.0 when nothing was written.
   double IoCompressionRatio() const {
@@ -100,31 +141,10 @@ struct RunMetrics {
                : static_cast<double>(io_framed_bytes) / static_cast<double>(io_raw_bytes);
   }
 
-  // Result fingerprint for cross-checking regular vs ITask runs.
-  std::uint64_t result_checksum = 0;
-  std::uint64_t result_records = 0;
-
-  // Latency distributions from the obs registry (merged bucket-wise across
-  // nodes in AccumulateNode; empty for regular executions).
-  obs::HistogramSnapshot gc_pause_hist;
-  obs::HistogramSnapshot interrupt_latency_hist;
-  obs::HistogramSnapshot io_read_stall_hist;
-
   // Wall time net of collector pauses. gc_ms sums per-node pause time, so on
   // a multi-node run (pauses overlap in wall time) it can exceed wall_ms;
   // clamp at zero rather than report a negative compute time.
   double ComputeMs() const { return wall_ms - std::min(gc_ms, wall_ms); }
-
-  // Merges per-node metrics into a job-level aggregate (sums counters, maxes
-  // peaks; wall time is taken from the caller's stopwatch, not merged).
-  void AccumulateNode(const RunMetrics& node);
-
-  // Folds another process's job-level metrics into a cluster-level rollup:
-  // sums every counter INCLUDING the net/migration/fault-tolerance ones that
-  // AccumulateNode skips (each input here is already a complete job-wide
-  // record from one process, so there is no double-counting), merges the
-  // histograms, maxes wall time and peak heap, and ANDs success.
-  void MergeCluster(const RunMetrics& other);
 
   std::string Summary() const;
 };

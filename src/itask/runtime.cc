@@ -31,11 +31,15 @@ IrsRuntime::IrsRuntime(NodeServices services, IrsConfig config, std::shared_ptr<
   parked_intermediate_ = &metrics_.counter("irs.parked_intermediate_bytes");
   ome_interrupts_ = &metrics_.counter("irs.ome_interrupts");
   fence_interrupts_ = &metrics_.counter("irs.fence_interrupts");
-  sink_records_ = &metrics_.counter("irs.sink_records");
   gc_pause_hist_ = &metrics_.histogram("gc.pause_ns", obs::GcPauseBoundsNs());
   interrupt_latency_hist_ =
       &metrics_.histogram("irs.interrupt_latency_ns", obs::InterruptLatencyBoundsNs());
-  sink_ = [this](PartitionPtr out) { DefaultSink(out); };
+  sink_ = [](PartitionPtr out) { out->DropPayload(); };
+  heap_base_ = services_.heap->Stats();
+  spill_base_ = services_.spill->Stats();
+  if (services_.async_spill != nullptr) {
+    io_base_ = services_.async_spill->io_stats();
+  }
   // The monitor keys off LUGC events from this node's heap (paper §5.2). The
   // same listener feeds the GC-pause histogram and the pressure-transition
   // events (the cluster's Node emits the kGc trace events themselves). The
@@ -397,11 +401,6 @@ void IrsRuntime::NoteOmeInterrupt(const PartitionPtr& dp, std::size_t tuples_pro
   }
 }
 
-void IrsRuntime::DefaultSink(const PartitionPtr& out) {
-  sink_records_->Add(out->TupleCount());
-  out->DropPayload();
-}
-
 void IrsRuntime::MonitorLoop() {
   // The monitor serializes/frees partitions on this thread (SpillStep), so it
   // must carry the tenant identity for the heap's per-job accounting.
@@ -543,25 +542,29 @@ void IrsRuntime::MonitorLoop() {
 }
 
 common::RunMetrics IrsRuntime::NodeMetrics() const {
+  // Heap, spill and I/O counters are this job's share: deltas against the
+  // baseline taken at construction. peak_heap_bytes and io_read_stall_hist
+  // stay node-lifetime (a peak and a histogram have no delta). Concurrent
+  // tenants on one cluster share the node counters.
   common::RunMetrics m;
   const memsim::HeapStats heap = services_.heap->Stats();
-  m.gc_ms = static_cast<double>(heap.total_gc_pause_ns) / 1e6;
-  m.gc_count = heap.gc_count;
-  m.lugc_count = heap.lugc_count;
+  m.gc_ms = static_cast<double>(heap.total_gc_pause_ns - heap_base_.total_gc_pause_ns) / 1e6;
+  m.gc_count = heap.gc_count - heap_base_.gc_count;
+  m.lugc_count = heap.lugc_count - heap_base_.lugc_count;
   m.peak_heap_bytes = heap.peak_used_bytes;
 
   const serde::SpillStats spill = services_.spill->Stats();
-  m.spilled_bytes = spill.spilled_bytes;
-  m.loaded_bytes = spill.loaded_bytes;
-  m.load_retries = spill.load_retries;
+  m.spilled_bytes = spill.spilled_bytes - spill_base_.spilled_bytes;
+  m.loaded_bytes = spill.loaded_bytes - spill_base_.loaded_bytes;
+  m.load_retries = spill.load_retries - spill_base_.load_retries;
 
   if (services_.async_spill != nullptr) {
     const io::IoStats io = services_.async_spill->io_stats();
-    m.io_cancelled_writes = io.cancelled_writes;
-    m.io_cancelled_write_bytes = io.cancelled_write_bytes;
-    m.io_raw_bytes = io.raw_bytes;
-    m.io_framed_bytes = io.framed_bytes;
-    m.io_read_stall_ms = static_cast<double>(io.read_stall_ns) / 1e6;
+    m.io_cancelled_writes = io.cancelled_writes - io_base_.cancelled_writes;
+    m.io_cancelled_write_bytes = io.cancelled_write_bytes - io_base_.cancelled_write_bytes;
+    m.io_raw_bytes = io.raw_bytes - io_base_.raw_bytes;
+    m.io_framed_bytes = io.framed_bytes - io_base_.framed_bytes;
+    m.io_read_stall_ms = static_cast<double>(io.read_stall_ns - io_base_.read_stall_ns) / 1e6;
     m.io_read_stall_hist = services_.async_spill->ReadStallSnapshot();
   }
 
@@ -578,7 +581,6 @@ common::RunMetrics IrsRuntime::NodeMetrics() const {
   m.released_final_result_bytes = released_final_result_->value();
   m.parked_intermediate_bytes = parked_intermediate_->value();
   m.lazy_serialized_bytes = metrics_.CounterValue("irs.lazy_serialized_bytes");
-  m.result_records = sink_records_->value();
   m.gc_pause_hist = gc_pause_hist_->snapshot();
   m.interrupt_latency_hist = interrupt_latency_hist_->snapshot();
   return m;

@@ -171,7 +171,6 @@ class IrsRuntime {
 
  private:
   void MonitorLoop();
-  void DefaultSink(const PartitionPtr& out);
 
   NodeServices services_;
   IrsConfig config_;
@@ -187,9 +186,13 @@ class IrsRuntime {
   obs::Counter* parked_intermediate_ = nullptr;
   obs::Counter* ome_interrupts_ = nullptr;
   obs::Counter* fence_interrupts_ = nullptr;
-  obs::Counter* sink_records_ = nullptr;
   obs::Histogram* gc_pause_hist_ = nullptr;
   obs::Histogram* interrupt_latency_hist_ = nullptr;
+  // Node counters when this runtime was built. The heap and spill engine
+  // outlive it (one cluster, many jobs), so NodeMetrics reports deltas.
+  memsim::HeapStats heap_base_;
+  serde::SpillStats spill_base_;
+  io::IoStats io_base_;
 
   TaskGraph graph_;
   PartitionQueue queue_;

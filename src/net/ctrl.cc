@@ -361,11 +361,11 @@ bool CtrlServer::NodeMetrics(int node, common::RunMetrics* out) const {
 common::RunMetrics CtrlServer::ClusterMetrics(int* nodes_reporting) const {
   std::lock_guard<std::mutex> lock(mu_);
   common::RunMetrics rollup;
-  rollup.succeeded = true;  // Identity for the AND in MergeCluster.
+  rollup.succeeded = true;  // Identity for the AND in Merge.
   int reporting = 0;
   for (const auto& peer : peers_) {
     if (peer->has_metrics) {
-      rollup.MergeCluster(peer->metrics);
+      rollup.Merge(peer->metrics);
       ++reporting;
     }
   }

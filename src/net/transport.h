@@ -68,11 +68,6 @@ struct NetConfig {
   // Ceiling on one dial attempt: a black-holed SYN costs this much, not
   // forever (non-blocking connect + poll; see ConnectWithTimeout).
   int connect_timeout_ms = 1000;
-  // Fault injection (tests/chaos): the receiver discards every Nth decoded
-  // frame and sheds its connection, exactly like the corrupt-frame path —
-  // senders must reconnect and the shuffle ledger must recover the loss.
-  // 0 disables.
-  int drop_rx_frame_every = 0;
   // Seeded sender-side fault plan (drop/delay/reorder/dup/corrupt/truncate/
   // reset + timed partitions). Inactive by default; see net/fault_engine.h.
   NetFaultPlan fault_plan;
@@ -83,7 +78,6 @@ struct NetConfig {
 //   ITASK_NET_BATCH_BYTES ITASK_NET_QUEUE_CAP ITASK_NET_ACK_TIMEOUT_MS
 //   ITASK_NET_FLUSH_US    ITASK_NET_COMPRESSION ITASK_NET_PORT
 //   ITASK_NET_BIND_HOST   ITASK_NET_CONNECT_TIMEOUT_MS
-//   ITASK_NET_DROP_RX_FRAME_EVERY (fault injection; 0 = off)
 //   ITASK_NET_FAULT_SPEC  (NetFaultPlan spec string; see net/fault_engine.h)
 //   ITASK_NET_FAULT_SEED  (derive a plan from a bare seed; 0 = off)
 NetConfig NetConfigFromEnv(NetConfig base = NetConfig{});

@@ -50,8 +50,9 @@ struct HistogramSnapshot {
     max = max > other.max ? max : other.max;
   }
 
-  // Quantile estimate by linear interpolation inside the covering bucket.
-  // The overflow bucket reports `max` (the best upper estimate available).
+  // Quantile estimate by linear interpolation inside the covering bucket,
+  // clamped to the observed `max`: a coarse bucket must not invent a tail
+  // value nothing reached. The overflow bucket reports `max`.
   double Quantile(double q) const {
     if (count == 0) {
       return 0.0;
@@ -75,7 +76,8 @@ struct HistogramSnapshot {
         const double hi = static_cast<double>(bounds[i]);
         const double frac =
             (rank - static_cast<double>(seen)) / static_cast<double>(counts[i]);
-        return lo + (hi - lo) * frac;
+        const double estimate = lo + (hi - lo) * frac;
+        return estimate < static_cast<double>(max) ? estimate : static_cast<double>(max);
       }
       seen = next;
     }

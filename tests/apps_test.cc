@@ -63,6 +63,32 @@ TEST_P(HyracksAppTest, ItaskSurvivesPressuredHeapWithSameResult) {
 INSTANTIATE_TEST_SUITE_P(AllApps, HyracksAppTest,
                          ::testing::Values("WC", "HS", "II", "HJ", "GR"));
 
+TEST(NodeMetricsTest, ReusedClusterReportsEachJobsOwnCounters) {
+  // Heaps and spill engines outlive a job, so the second job on one cluster
+  // must report its own GCs and spills, not the node-lifetime totals.
+  auto cluster = MakeCluster(1536 << 10);
+  const auto totals = [&cluster] {
+    std::pair<std::uint64_t, std::uint64_t> gcs_and_spilled{0, 0};
+    for (int i = 0; i < cluster.size(); ++i) {
+      gcs_and_spilled.first += cluster.node(i).heap().Stats().gc_count;
+      gcs_and_spilled.second += cluster.node(i).spill().Stats().spilled_bytes;
+    }
+    return gcs_and_spilled;
+  };
+  const AppResult first = RunHyracksApp("WC", cluster, SmallConfig(), Mode::kITask);
+  ASSERT_TRUE(first.metrics.succeeded) << first.metrics.Summary();
+  const auto before = totals();
+  ASSERT_GT(before.first, 0u);
+  ASSERT_GT(before.second, 0u);
+
+  const AppResult second = RunHyracksApp("WC", cluster, SmallConfig(), Mode::kITask);
+  ASSERT_TRUE(second.metrics.succeeded) << second.metrics.Summary();
+  const auto after = totals();
+  EXPECT_EQ(second.metrics.gc_count, after.first - before.first);
+  EXPECT_EQ(second.metrics.spilled_bytes, after.second - before.second);
+  EXPECT_GT(second.metrics.spilled_bytes, 0u);
+}
+
 class HadoopProblemTest : public ::testing::TestWithParam<const char*> {};
 
 HadoopProblemConfig SmallProblemConfig() {

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "apps/hyracks_apps.h"
@@ -440,10 +441,13 @@ TEST(Transport, EnvClampsBatchBytesToAtLeastOne) {
 TEST_P(SocketTransportTest, ReconnectsAfterReceiverShedsConnection) {
   NetConfig config;
   config.kind = GetParam();
-  // The receiver discards every 2nd frame and drops its connection, like the
-  // corrupt-frame path. The sender must requeue and reconnect — a send
-  // failure to a still-registered endpoint is transient, never peer-gone.
-  config.drop_rx_frame_every = 2;
+  // A seeded plan loses over half the frames (drop 0.6 of the 0.9 that are
+  // not reset) and tears the connection down under one in ten. The sender
+  // must requeue and reconnect — a send failure to a still-registered
+  // endpoint is transient, never peer-gone.
+  std::string err;
+  ASSERT_TRUE(NetFaultPlan::FromSpec("seed=3,drop=0.6,reset=0.1", &config.fault_plan, &err))
+      << err;
   auto transport = MakeTransport(config);
   std::atomic<int> received{0};
   transport->RegisterEndpoint(3, [&received](Message&&) { received.fetch_add(1); });
@@ -459,7 +463,7 @@ TEST_P(SocketTransportTest, ReconnectsAfterReceiverShedsConnection) {
     msg.payload = MakePayload(64, static_cast<std::uint8_t>(sent));
     // The queue must never die while the endpoint stays registered.
     ASSERT_TRUE(transport->Send(std::move(msg)));
-    transport->Flush();  // One frame per message: every 2nd one is shed.
+    transport->Flush();  // One frame per message, each drawn against the plan.
   }
   EXPECT_GT(transport->Stats().send_retries, 0u);
   EXPECT_GT(received.load(), 0);
@@ -826,7 +830,7 @@ class TransportParityTest : public ::testing::Test {
 
   static apps::AppResult RunOver(const char* app, TransportKind kind,
                                  cluster::FailureModel* model = nullptr,
-                                 int drop_rx_frame_every = 0, int ack_timeout_ms = 0,
+                                 int ack_timeout_ms = 0,
                                  std::size_t dataset_bytes = 512 << 10,
                                  const NetFaultPlan* fault_plan = nullptr) {
     cluster::ClusterConfig cc;
@@ -834,7 +838,6 @@ class TransportParityTest : public ::testing::Test {
     cc.heap.capacity_bytes = 48 << 20;
     cc.heap.real_pauses = false;
     cc.net.kind = kind;
-    cc.net.drop_rx_frame_every = drop_rx_frame_every;
     if (ack_timeout_ms > 0) {
       cc.net.ack_timeout_ms = ack_timeout_ms;
     }
@@ -872,8 +875,9 @@ TEST_F(TransportParityTest, FaultFreeTcpMatchesInproc) {
 }
 
 TEST_F(TransportParityTest, LossyTcpKeepsFingerprint) {
-  // A genuinely lossy channel: the receive side discards every 10th frame
-  // and sheds the connection carrying it. Senders must reconnect (never
+  // A genuinely lossy channel: the seeded plan silently loses over a tenth
+  // of the frames (drop 0.12 of the 0.95 that are not reset) and tears the
+  // connection down under one in twenty. Senders must reconnect (never
   // report a live peer as gone) and the shuffle ledger's (split,epoch,seq)
   // dedup + ack-timeout resend must recover every lost payload bit-for-bit.
   // Widen the suspect window and slow heartbeats so the injected loss
@@ -883,12 +887,15 @@ TEST_F(TransportParityTest, LossyTcpKeepsFingerprint) {
   constexpr std::size_t kDataset = 128 << 10;
   const apps::AppResult reference =
       RunOver("WC", TransportKind::kInproc, /*model=*/nullptr,
-              /*drop_rx_frame_every=*/0, /*ack_timeout_ms=*/0, kDataset);
+              /*ack_timeout_ms=*/0, kDataset);
   ASSERT_TRUE(reference.metrics.succeeded);
 
+  NetFaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(NetFaultPlan::FromSpec("seed=5,drop=0.12,reset=0.05", &plan, &err)) << err;
   const apps::AppResult lossy =
       RunOver("WC", TransportKind::kTcp, /*model=*/nullptr,
-              /*drop_rx_frame_every=*/10, /*ack_timeout_ms=*/100, kDataset);
+              /*ack_timeout_ms=*/100, kDataset, &plan);
   ASSERT_TRUE(lossy.metrics.succeeded) << lossy.metrics.Summary();
   EXPECT_EQ(lossy.checksum, reference.checksum);
   EXPECT_EQ(lossy.records, reference.records);
@@ -909,7 +916,7 @@ TEST_F(TransportParityTest, SeededChaosPlanTcpKeepsFingerprint) {
   constexpr std::size_t kDataset = 128 << 10;
   const apps::AppResult reference =
       RunOver("WC", TransportKind::kInproc, /*model=*/nullptr,
-              /*drop_rx_frame_every=*/0, /*ack_timeout_ms=*/0, kDataset);
+              /*ack_timeout_ms=*/0, kDataset);
   ASSERT_TRUE(reference.metrics.succeeded);
 
   NetFaultPlan plan;
@@ -920,7 +927,7 @@ TEST_F(TransportParityTest, SeededChaosPlanTcpKeepsFingerprint) {
       << err;
   const apps::AppResult chaotic =
       RunOver("WC", TransportKind::kTcp, /*model=*/nullptr,
-              /*drop_rx_frame_every=*/0, /*ack_timeout_ms=*/100, kDataset, &plan);
+              /*ack_timeout_ms=*/100, kDataset, &plan);
   ASSERT_TRUE(chaotic.metrics.succeeded) << chaotic.metrics.Summary();
   EXPECT_EQ(chaotic.checksum, reference.checksum);
   EXPECT_EQ(chaotic.records, reference.records);
@@ -945,7 +952,7 @@ TEST_F(TransportParityTest, TimedPartitionHealsWithoutReexecution) {
   ASSERT_TRUE(NetFaultPlan::FromSpec("part=1>*@50+150", &plan, &err)) << err;
   const apps::AppResult cut =
       RunOver("WC", TransportKind::kTcp, /*model=*/nullptr,
-              /*drop_rx_frame_every=*/0, /*ack_timeout_ms=*/100, 512 << 10, &plan);
+              /*ack_timeout_ms=*/100, 512 << 10, &plan);
   unsetenv("ITASK_DISCONNECT_GRACE_MS");
   ASSERT_TRUE(cut.metrics.succeeded) << cut.metrics.Summary();
   EXPECT_EQ(cut.checksum, reference.checksum);
@@ -1019,6 +1026,118 @@ TEST(MetricsWire, RunMetricsRoundTripsWithHistograms) {
                    m.interrupt_latency_hist.Quantile(0.99));
   EXPECT_EQ(d.gc_pause_hist.counts, m.gc_pause_hist.counts);
   EXPECT_DOUBLE_EQ(d.gc_pause_hist.Quantile(0.5), m.gc_pause_hist.Quantile(0.5));
+}
+
+// Gives every RunMetrics table field a distinct non-zero value derived from
+// |salt| and the field's table position. Booleans are true for odd salts, so
+// folding salt 1 into salt 2 tells an AND from an OR.
+common::RunMetrics DistinctMetrics(std::uint64_t salt) {
+  common::RunMetrics m;
+  std::uint64_t position = 0;
+  common::RunMetrics::ForEachField(m, [&](const char*, auto& field, common::FoldRule) {
+    using T = std::decay_t<decltype(field)>;
+    const std::uint64_t v = salt * 1000 + ++position;
+    if constexpr (std::is_same_v<T, bool>) {
+      field = salt % 2 == 1;
+    } else if constexpr (std::is_same_v<T, double>) {
+      field = static_cast<double>(v) + 0.25;
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      field = v;
+    } else {
+      obs::Histogram hist({10, 1500, 100'000});
+      hist.Observe(position);
+      hist.Observe(v);
+      hist.Observe(v * 100);
+      field = hist.snapshot();
+    }
+  });
+  return m;
+}
+
+template <class T>
+void ExpectSame(const char* name, const T& got, const T& want) {
+  EXPECT_EQ(got, want) << name;
+}
+
+void ExpectSame(const char* name, const obs::HistogramSnapshot& got,
+                const obs::HistogramSnapshot& want) {
+  EXPECT_EQ(got.bounds, want.bounds) << name;
+  EXPECT_EQ(got.counts, want.counts) << name;
+  EXPECT_EQ(got.count, want.count) << name;
+  EXPECT_EQ(got.sum, want.sum) << name;
+  EXPECT_EQ(got.max, want.max) << name;
+}
+
+void ExpectFolded(const char* name, common::FoldRule rule, bool a, bool b, bool merged) {
+  ASSERT_NE(a, b) << name;  // Otherwise AND and OR agree.
+  if (rule == common::FoldRule::kAnd) {
+    EXPECT_EQ(merged, a && b) << name;
+  } else {
+    ASSERT_EQ(rule, common::FoldRule::kOr) << name;
+    EXPECT_EQ(merged, a || b) << name;
+  }
+}
+
+void ExpectFolded(const char* name, common::FoldRule rule, double a, double b, double merged) {
+  if (rule == common::FoldRule::kSum) {
+    EXPECT_DOUBLE_EQ(merged, a + b) << name;
+  } else {
+    ASSERT_EQ(rule, common::FoldRule::kMax) << name;
+    EXPECT_DOUBLE_EQ(merged, std::max(a, b)) << name;
+  }
+}
+
+void ExpectFolded(const char* name, common::FoldRule rule, std::uint64_t a, std::uint64_t b,
+                  std::uint64_t merged) {
+  if (rule == common::FoldRule::kSum) {
+    EXPECT_EQ(merged, a + b) << name;
+  } else if (rule == common::FoldRule::kMax) {
+    EXPECT_EQ(merged, std::max(a, b)) << name;
+  } else {
+    ASSERT_EQ(rule, common::FoldRule::kXor) << name;
+    EXPECT_EQ(merged, a ^ b) << name;
+  }
+}
+
+void ExpectFolded(const char* name, common::FoldRule rule, const obs::HistogramSnapshot& a,
+                  const obs::HistogramSnapshot& b, const obs::HistogramSnapshot& merged) {
+  ASSERT_EQ(rule, common::FoldRule::kMerge) << name;
+  ASSERT_EQ(a.bounds, b.bounds) << name;
+  obs::HistogramSnapshot want = a;
+  for (std::size_t i = 0; i < want.counts.size(); ++i) {
+    want.counts[i] += b.counts[i];
+  }
+  want.count += b.count;
+  want.sum += b.sum;
+  want.max = std::max(a.max, b.max);
+  ExpectSame(name, merged, want);
+}
+
+TEST(MetricsWire, EveryTableFieldRoundTrips) {
+  const common::RunMetrics m = DistinctMetrics(1);
+  common::ByteBuffer wire;
+  EncodeRunMetrics(m, &wire);
+  const common::RunMetrics d = DecodeRunMetrics(&wire);
+#define ITASK_EXPECT_DECODED(type, name, rule) ExpectSame(#name, d.name, m.name);
+  ITASK_RUN_METRICS_FIELDS(ITASK_EXPECT_DECODED)
+#undef ITASK_EXPECT_DECODED
+
+  // Decode is strict: a snapshot from a different table is refused.
+  common::ByteBuffer foreign;
+  serde::Writer w(&foreign);
+  w.WriteVarint(kMetricsWireVersion + 1);
+  EXPECT_THROW(DecodeRunMetrics(&foreign), std::runtime_error);
+}
+
+TEST(MetricsWire, MergeFoldsEveryFieldByItsRule) {
+  const common::RunMetrics a = DistinctMetrics(1);
+  const common::RunMetrics b = DistinctMetrics(2);
+  common::RunMetrics merged = a;
+  merged.Merge(b);
+#define ITASK_EXPECT_FOLDED(type, name, rule) \
+  ExpectFolded(#name, common::FoldRule::rule, a.name, b.name, merged.name);
+  ITASK_RUN_METRICS_FIELDS(ITASK_EXPECT_FOLDED)
+#undef ITASK_EXPECT_FOLDED
 }
 
 TEST_F(TransportParityTest, SpanIdsStableAcrossSeededReruns) {

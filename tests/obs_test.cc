@@ -165,6 +165,21 @@ TEST(HistogramTest, QuantilesInterpolateWithinBuckets) {
   EXPECT_DOUBLE_EQ(snap.Mean(), 150.0);
 }
 
+TEST(HistogramTest, QuantilesNeverExceedObservedMax) {
+  // A few interrupt latencies just above 100 ms land low in the coarse
+  // (100 ms, 500 ms] bucket; interpolating inside it would report a p99 near
+  // 500 ms that nothing reached.
+  Histogram hist(InterruptLatencyBoundsNs());
+  for (const std::uint64_t ms : {120, 150, 180, 210}) {
+    hist.Observe(ms * 1'000'000);
+  }
+  const HistogramSnapshot snap = hist.snapshot();
+  EXPECT_EQ(snap.max, 210'000'000u);
+  EXPECT_LE(snap.Quantile(0.99), static_cast<double>(snap.max));
+  EXPECT_LE(snap.Quantile(1.0), static_cast<double>(snap.max));
+  EXPECT_GT(snap.Quantile(0.5), 100'000'000.0);  // Still inside the bucket.
+}
+
 TEST(HistogramTest, MergeIsBucketwiseForMatchingBounds) {
   Histogram a({10, 20});
   Histogram b({10, 20});

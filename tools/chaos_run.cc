@@ -67,6 +67,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,7 @@
 #include "chaos/chaos.h"
 #include "cluster/cluster.h"
 #include "cluster/failure_model.h"
+#include "common/metrics.h"
 #include "net/ctrl.h"
 #include "net/fault_engine.h"
 #include "net/transport.h"
@@ -248,6 +250,29 @@ void JsonEscape(std::string* out, const std::string& s) {
   }
 }
 
+// Appends ,"name":value for every scalar RunMetrics table field (histograms
+// are reported as quantiles by the caller).
+void AppendMetricsJson(std::string* out, const itask::common::RunMetrics& m) {
+  itask::common::RunMetrics::ForEachField(
+      m, [out](const char* name, const auto& field, itask::common::FoldRule) {
+        using T = std::decay_t<decltype(field)>;
+        if constexpr (!std::is_same_v<T, itask::obs::HistogramSnapshot>) {
+          *out += ",\"";
+          *out += name;
+          *out += "\":";
+          if constexpr (std::is_same_v<T, bool>) {
+            *out += field ? "true" : "false";
+          } else if constexpr (std::is_same_v<T, double>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.3f", field);
+            *out += buf;
+          } else {
+            *out += std::to_string(field);
+          }
+        }
+      });
+}
+
 itask::cluster::Cluster MakeCluster(const Options& opt, std::uint64_t heap_kb,
                                     const itask::chaos::FaultPlan* plan,
                                     bool apply_skew = true) {
@@ -351,48 +376,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.records));
   }
 
-  // Per-job Table-2 aggregates across all seeds (staged-release byte classes
-  // plus the interrupt counters), so multi-tenant audits can attribute chaos
-  // findings to the job that produced them instead of one global blob.
-  struct JobCounters {
+  // Per-job rollups across all seeds: every RunMetrics field folded by its
+  // table rule, so multi-tenant audits can attribute chaos findings to the
+  // job that produced them instead of one global blob.
+  struct JobRollup {
     std::uint64_t runs = 0;
-    std::uint64_t interrupts = 0;
-    std::uint64_t ome_interrupts = 0;
-    std::uint64_t victim_requests = 0;
-    std::uint64_t reactivations = 0;
-    std::uint64_t released_processed_input_bytes = 0;
-    std::uint64_t released_final_result_bytes = 0;
-    std::uint64_t parked_intermediate_bytes = 0;
-    std::uint64_t lazy_serialized_bytes = 0;
-    std::uint64_t spilled_bytes = 0;
-    std::uint64_t loaded_bytes = 0;
-    std::uint64_t load_retries = 0;
-    // Three-way SERIALIZE rollup (zero without skewed pressure + recovery).
-    std::uint64_t partitions_migrated = 0;
-    std::uint64_t migrated_bytes = 0;
-    std::uint64_t migrations_rejected = 0;
-    // Transport rollup (all zero on the inproc path).
-    std::uint64_t net_msgs_sent = 0;
-    std::uint64_t net_frames_sent = 0;
-    std::uint64_t net_bytes_sent = 0;
-    std::uint64_t net_send_stalls = 0;
-    double net_stall_ms = 0.0;
-    std::uint64_t net_send_retries = 0;
-    std::uint64_t net_ack_timeouts = 0;
-    std::uint64_t net_dup_payloads_dropped = 0;
-    // Fault-engine / resilience rollup (zero without --net-faults).
-    std::uint64_t net_faults_injected = 0;
-    std::uint64_t partitions_healed = 0;
-    std::uint64_t backoff_retries = 0;
-    std::uint64_t backoff_giveups = 0;
-    // Telemetry-health rollup: tracer ring overwrites (non-zero means the
-    // event stream undercounts) plus the latency distributions, merged
-    // bucket-wise across seeds so the JSON can report cross-run quantiles.
-    std::uint64_t events_dropped = 0;
-    itask::obs::HistogramSnapshot interrupt_hist;
-    itask::obs::HistogramSnapshot gc_hist;
+    itask::common::RunMetrics metrics;
   };
-  std::map<std::string, JobCounters> per_job;
+  std::map<std::string, JobRollup> per_job;
 
   std::vector<Failure> failures;
   std::uint64_t runs = 0;
@@ -425,37 +416,12 @@ int main(int argc, char** argv) {
       last_points = fuzzer.points_hit();
       ++runs;
 
-      JobCounters& jc = per_job[app];
-      ++jc.runs;
-      jc.interrupts += result.metrics.interrupts;
-      jc.ome_interrupts += result.metrics.ome_interrupts;
-      jc.victim_requests += result.metrics.victim_requests;
-      jc.reactivations += result.metrics.reactivations;
-      jc.released_processed_input_bytes += result.metrics.released_processed_input_bytes;
-      jc.released_final_result_bytes += result.metrics.released_final_result_bytes;
-      jc.parked_intermediate_bytes += result.metrics.parked_intermediate_bytes;
-      jc.lazy_serialized_bytes += result.metrics.lazy_serialized_bytes;
-      jc.spilled_bytes += result.metrics.spilled_bytes;
-      jc.loaded_bytes += result.metrics.loaded_bytes;
-      jc.load_retries += result.metrics.load_retries;
-      jc.partitions_migrated += result.metrics.partitions_migrated;
-      jc.migrated_bytes += result.metrics.migrated_bytes;
-      jc.migrations_rejected += result.metrics.migrations_rejected;
-      jc.net_msgs_sent += result.metrics.net_msgs_sent;
-      jc.net_frames_sent += result.metrics.net_frames_sent;
-      jc.net_bytes_sent += result.metrics.net_bytes_sent;
-      jc.net_send_stalls += result.metrics.net_send_stalls;
-      jc.net_stall_ms += result.metrics.net_stall_ms;
-      jc.net_send_retries += result.metrics.net_send_retries;
-      jc.net_ack_timeouts += result.metrics.net_ack_timeouts;
-      jc.net_dup_payloads_dropped += result.metrics.net_dup_payloads_dropped;
-      jc.net_faults_injected += result.metrics.net_faults_injected;
-      jc.partitions_healed += result.metrics.partitions_healed;
-      jc.backoff_retries += result.metrics.backoff_retries;
-      jc.backoff_giveups += result.metrics.backoff_giveups;
-      jc.events_dropped += result.metrics.events_dropped;
-      jc.interrupt_hist.Merge(result.metrics.interrupt_latency_hist);
-      jc.gc_hist.Merge(result.metrics.gc_pause_hist);
+      JobRollup& rollup = per_job[app];
+      if (rollup.runs++ == 0) {
+        rollup.metrics = result.metrics;
+      } else {
+        rollup.metrics.Merge(result.metrics);
+      }
 
       std::string what;
       const auto in_path = itask::chaos::DrainViolations();
@@ -530,69 +496,31 @@ int main(int argc, char** argv) {
     JsonEscape(&out, opt.net_fault_plan.active() ? opt.net_fault_plan.Describe() : "");
     out += "\"";
     out += ",\"ctrl_reconnects\":" + std::to_string(ctrl_reconnects);
-    {
-      std::uint64_t faults = 0, healed = 0, retries = 0, giveups = 0;
-      for (const auto& [app, jc] : per_job) {
-        faults += jc.net_faults_injected;
-        healed += jc.partitions_healed;
-        retries += jc.backoff_retries;
-        giveups += jc.backoff_giveups;
-      }
-      out += ",\"net_faults_injected\":" + std::to_string(faults);
-      out += ",\"partitions_healed\":" + std::to_string(healed);
-      out += ",\"backoff_retries\":" + std::to_string(retries);
-      out += ",\"backoff_giveups\":" + std::to_string(giveups);
+    itask::common::RunMetrics total;
+    for (const auto& [app, rollup] : per_job) {
+      total.Merge(rollup.metrics);
     }
+    out += ",\"net_faults_injected\":" + std::to_string(total.net_faults_injected);
+    out += ",\"partitions_healed\":" + std::to_string(total.partitions_healed);
+    out += ",\"backoff_retries\":" + std::to_string(total.backoff_retries);
+    out += ",\"backoff_giveups\":" + std::to_string(total.backoff_giveups);
     out += ",\"apps\":[";
     for (std::size_t i = 0; i < opt.apps.size(); ++i) {
       out += (i > 0 ? ",\"" : "\"") + opt.apps[i] + "\"";
     }
     out += "],\"per_job\":{";
     bool first_job = true;
-    for (const auto& [app, jc] : per_job) {
+    for (const auto& [app, rollup] : per_job) {
       out += first_job ? "\"" : ",\"";
       first_job = false;
       JsonEscape(&out, app);
-      out += "\":{\"runs\":" + std::to_string(jc.runs);
-      out += ",\"interrupts\":" + std::to_string(jc.interrupts);
-      out += ",\"ome_interrupts\":" + std::to_string(jc.ome_interrupts);
-      out += ",\"victim_requests\":" + std::to_string(jc.victim_requests);
-      out += ",\"reactivations\":" + std::to_string(jc.reactivations);
-      out += ",\"released_processed_input_bytes\":" +
-             std::to_string(jc.released_processed_input_bytes);
-      out += ",\"released_final_result_bytes\":" +
-             std::to_string(jc.released_final_result_bytes);
-      out += ",\"parked_intermediate_bytes\":" + std::to_string(jc.parked_intermediate_bytes);
-      out += ",\"lazy_serialized_bytes\":" + std::to_string(jc.lazy_serialized_bytes);
-      out += ",\"spilled_bytes\":" + std::to_string(jc.spilled_bytes);
-      out += ",\"loaded_bytes\":" + std::to_string(jc.loaded_bytes);
-      out += ",\"load_retries\":" + std::to_string(jc.load_retries);
-      out += ",\"partitions_migrated\":" + std::to_string(jc.partitions_migrated);
-      out += ",\"migrated_bytes\":" + std::to_string(jc.migrated_bytes);
-      out += ",\"migrations_rejected\":" + std::to_string(jc.migrations_rejected);
-      out += ",\"events_dropped\":" + std::to_string(jc.events_dropped);
-      {
-        char q[96];
-        std::snprintf(q, sizeof(q),
-                      ",\"interrupt_p99_us\":%.2f,\"gc_p99_us\":%.2f",
-                      jc.interrupt_hist.Quantile(0.99) / 1e3,
-                      jc.gc_hist.Quantile(0.99) / 1e3);
-        out += q;
-      }
-      out += ",\"net\":{\"msgs_sent\":" + std::to_string(jc.net_msgs_sent);
-      out += ",\"frames_sent\":" + std::to_string(jc.net_frames_sent);
-      out += ",\"bytes_sent\":" + std::to_string(jc.net_bytes_sent);
-      out += ",\"send_stalls\":" + std::to_string(jc.net_send_stalls);
-      out += ",\"stall_ms\":" + std::to_string(jc.net_stall_ms);
-      out += ",\"send_retries\":" + std::to_string(jc.net_send_retries);
-      out += ",\"ack_timeouts\":" + std::to_string(jc.net_ack_timeouts);
-      out += ",\"dup_payloads_dropped\":" + std::to_string(jc.net_dup_payloads_dropped);
-      out += ",\"faults_injected\":" + std::to_string(jc.net_faults_injected);
-      out += "}";
-      out += ",\"partitions_healed\":" + std::to_string(jc.partitions_healed);
-      out += ",\"backoff_retries\":" + std::to_string(jc.backoff_retries);
-      out += ",\"backoff_giveups\":" + std::to_string(jc.backoff_giveups);
-      out += "}";
+      out += "\":{\"runs\":" + std::to_string(rollup.runs);
+      AppendMetricsJson(&out, rollup.metrics);
+      char q[96];
+      std::snprintf(q, sizeof(q), ",\"interrupt_p99_us\":%.2f,\"gc_p99_us\":%.2f}",
+                    rollup.metrics.interrupt_latency_hist.Quantile(0.99) / 1e3,
+                    rollup.metrics.gc_pause_hist.Quantile(0.99) / 1e3);
+      out += q;
     }
     out += "},\"failures\":[";
     for (std::size_t i = 0; i < failures.size(); ++i) {
