@@ -97,16 +97,18 @@ void BM_PartitionSpillLoad(benchmark::State& state) {
 BENCHMARK(BM_PartitionSpillLoad)->Arg(1024)->Arg(16384);
 
 // Spill/load throughput of the async engine vs the synchronous baseline.
-// Each iteration spills a batch of 64KB blocks and loads them all back. The
-// async engine overlaps framing + file writes with the submission loop and
+// Each iteration spills a batch of blocks and loads them all back. The
+// async engine overlaps framing + log writes with the submission loop and
 // serves quick re-loads from the pending-write cache, so bytes/s should beat
-// the sync path (arg = I/O pool size; the sync baseline is the 0-arg case).
-common::ByteBuffer SpillBenchPayload() {
+// the sync path. Block sizes: 4 KiB, about what the workloads spill per
+// partition (where per-spill overhead dominates), and 64 KiB. Sync arg =
+// block KiB; async args = I/O pool size, block KiB.
+common::ByteBuffer SpillBenchPayload(std::size_t bytes) {
   // Half runs, half noise — roughly the mix serialized partitions show.
   common::Rng rng(99);
   std::vector<std::uint8_t> data;
-  data.reserve(64 << 10);
-  while (data.size() < (64 << 10)) {
+  data.reserve(bytes + 32);
+  while (data.size() < bytes) {
     if (rng.NextBelow(2) == 0) {
       data.insert(data.end(), 32, static_cast<std::uint8_t>(rng.NextBelow(256)));
     } else {
@@ -115,11 +117,13 @@ common::ByteBuffer SpillBenchPayload() {
       }
     }
   }
+  data.resize(bytes);
   return common::ByteBuffer(std::move(data));
 }
 
-void SpillThroughputLoop(benchmark::State& state, serde::SpillManager& spill) {
-  const common::ByteBuffer payload = SpillBenchPayload();
+void SpillThroughputLoop(benchmark::State& state, serde::SpillManager& spill,
+                         std::size_t block_bytes) {
+  const common::ByteBuffer payload = SpillBenchPayload(block_bytes);
   constexpr int kBatch = 16;
   for (auto _ : state) {
     std::uint64_t ids[kBatch];
@@ -137,19 +141,19 @@ void SpillThroughputLoop(benchmark::State& state, serde::SpillManager& spill) {
 
 void BM_SyncSpillThroughput(benchmark::State& state) {
   serde::SpillManager spill(std::filesystem::temp_directory_path(), "bench-sync");
-  SpillThroughputLoop(state, spill);
+  SpillThroughputLoop(state, spill, static_cast<std::size_t>(state.range(0)) << 10);
 }
-BENCHMARK(BM_SyncSpillThroughput);
+BENCHMARK(BM_SyncSpillThroughput)->Arg(4)->Arg(64);
 
 void BM_AsyncSpillThroughput(benchmark::State& state) {
   io::IoExecutor exec(static_cast<int>(state.range(0)));
   io::AsyncSpillManager spill(std::filesystem::temp_directory_path(), "bench-async", &exec);
-  SpillThroughputLoop(state, spill);
+  SpillThroughputLoop(state, spill, static_cast<std::size_t>(state.range(1)) << 10);
   const io::IoStats io = spill.io_stats();
   state.counters["cancelled_writes"] = static_cast<double>(io.cancelled_writes);
   state.counters["compression_ratio"] = io.CompressionRatio();
 }
-BENCHMARK(BM_AsyncSpillThroughput)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_AsyncSpillThroughput)->ArgsProduct({{1, 2, 4}, {4, 64}});
 
 struct CountKv {
   using Key = std::uint64_t;

@@ -19,26 +19,26 @@ SECONDS=0
 ctest --test-dir build --output-on-failure -j
 echo "tier 1: ctest wall time ${SECONDS} s"
 
-echo "=== tier 2: ASan/UBSan on obs + io + itask suites ==="
+echo "=== tier 2: ASan/UBSan on obs + serde + io + itask suites ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
-cmake --build build-asan -j --target obs_test io_test itask_core_test irs_runtime_test irs_policy_test net_test
-for t in obs_test io_test itask_core_test irs_runtime_test irs_policy_test net_test; do
+cmake --build build-asan -j --target obs_test serde_test io_test itask_core_test irs_runtime_test irs_policy_test net_test
+for t in obs_test serde_test io_test itask_core_test irs_runtime_test irs_policy_test net_test; do
   echo "--- ${t} (sanitized) ---"
   "./build-asan/tests/${t}"
 done
 
-echo "=== tier 3: TSan on itask core / runtime / partition / io suites ==="
+echo "=== tier 3: TSan on itask core / runtime / partition / serde / io suites ==="
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
-cmake --build build-tsan -j --target itask_core_test irs_runtime_test partition_test io_test
-for t in itask_core_test irs_runtime_test partition_test io_test; do
+cmake --build build-tsan -j --target itask_core_test irs_runtime_test partition_test serde_test io_test
+for t in itask_core_test irs_runtime_test partition_test serde_test io_test; do
   echo "--- ${t} (tsan) ---"
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/${t}"
 done

@@ -318,6 +318,7 @@ class AggApp {
     const int nodes = cluster.size();
     dataflow::StageQueues in_q(nodes);
     dataflow::StageQueues bucket_q(nodes);
+    dataflow::RegularHarness harness(cluster);
 
     {
       PartitionFeeder<InPartition> feeder(
@@ -328,7 +329,7 @@ class AggApp {
       in_q.CloseAll();
     }
 
-    dataflow::RegularHarness harness(cluster);
+    harness.StartClock();
     AppResult result;
     std::atomic<std::uint64_t> checksum{0};
     std::atomic<std::uint64_t> records{0};

@@ -335,6 +335,7 @@ AppResult RunHashJoinRegular(cluster::Cluster& cluster, const AppConfig& config)
   dataflow::StageQueues ord_q(nodes);
   dataflow::StageQueues build_q(nodes);
   dataflow::StageQueues probe_q(nodes);
+  dataflow::RegularHarness harness(cluster);
 
   {
     PartitionFeeder<CustomerPartition> cust_feeder(
@@ -351,7 +352,7 @@ AppResult RunHashJoinRegular(cluster::Cluster& cluster, const AppConfig& config)
     ord_q.CloseAll();
   }
 
-  dataflow::RegularHarness harness(cluster);
+  harness.StartClock();
   std::atomic<std::uint64_t> checksum{0};
   std::atomic<std::uint64_t> matches{0};
 

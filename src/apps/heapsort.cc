@@ -230,6 +230,7 @@ AppResult RunHeapSortRegular(cluster::Cluster& cluster, const AppConfig& config)
   const int nodes = cluster.size();
   dataflow::StageQueues in_q(nodes);
   dataflow::StageQueues range_q(nodes);
+  dataflow::RegularHarness harness(cluster);
 
   {
     PartitionFeeder<KeyPartition> feeder(
@@ -240,7 +241,7 @@ AppResult RunHeapSortRegular(cluster::Cluster& cluster, const AppConfig& config)
     in_q.CloseAll();
   }
 
-  dataflow::RegularHarness harness(cluster);
+  harness.StartClock();
   std::atomic<std::uint64_t> checksum{0};
   std::atomic<std::uint64_t> records{0};
   std::atomic<bool> sorted{true};

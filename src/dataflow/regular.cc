@@ -7,6 +7,13 @@
 
 namespace itask::dataflow {
 
+RegularHarness::RegularHarness(cluster::Cluster& cluster) : cluster_(cluster) {
+  for (int i = 0; i < cluster_.size(); ++i) {
+    heap_base_.push_back(cluster_.node(i).heap().Stats());
+    spill_base_.push_back(cluster_.node(i).spill().Stats());
+  }
+}
+
 bool RegularHarness::RunStage(int threads, const std::function<void(int, int)>& body) {
   if (aborted()) {
     return false;
@@ -37,15 +44,17 @@ common::RunMetrics RegularHarness::Finish() {
   m.wall_ms = watch_.ElapsedMs();
   m.out_of_memory = aborted();
   for (int i = 0; i < cluster_.size(); ++i) {
+    const memsim::HeapStats& heap_base = heap_base_[static_cast<std::size_t>(i)];
+    const serde::SpillStats& spill_base = spill_base_[static_cast<std::size_t>(i)];
     const memsim::HeapStats heap = cluster_.node(i).heap().Stats();
     common::RunMetrics node;
-    node.gc_ms = static_cast<double>(heap.total_gc_pause_ns) / 1e6;
-    node.gc_count = heap.gc_count;
-    node.lugc_count = heap.lugc_count;
+    node.gc_ms = static_cast<double>(heap.total_gc_pause_ns - heap_base.total_gc_pause_ns) / 1e6;
+    node.gc_count = heap.gc_count - heap_base.gc_count;
+    node.lugc_count = heap.lugc_count - heap_base.lugc_count;
     node.peak_heap_bytes = heap.peak_used_bytes;
     const serde::SpillStats spill = cluster_.node(i).spill().Stats();
-    node.spilled_bytes = spill.spilled_bytes;
-    node.loaded_bytes = spill.loaded_bytes;
+    node.spilled_bytes = spill.spilled_bytes - spill_base.spilled_bytes;
+    node.loaded_bytes = spill.loaded_bytes - spill_base.loaded_bytes;
     m.Merge(node);
   }
   m.succeeded = !aborted();

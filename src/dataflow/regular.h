@@ -15,12 +15,21 @@
 #include "common/metrics.h"
 #include "common/spin.h"
 #include "itask/partition.h"
+#include "memsim/managed_heap.h"
+#include "serde/spill_manager.h"
 
 namespace itask::dataflow {
 
 class RegularHarness {
  public:
-  explicit RegularHarness(cluster::Cluster& cluster) : cluster_(cluster) {}
+  // Takes every node's heap and spill counters as this job's baseline, so
+  // Finish reports the job's own share on a reused cluster. Construct it
+  // before loading the job's input, as cluster::ItaskJob does, so GCs during
+  // the load count; call StartClock once the input is loaded.
+  explicit RegularHarness(cluster::Cluster& cluster);
+
+  // Starts the job's wall clock: regular wall time covers the stages only.
+  void StartClock() { watch_.Reset(); }
 
   // Runs |body(node, thread)| on |threads| threads per node, all nodes
   // concurrently; blocks until every thread returns. An OutOfMemoryError on
@@ -31,16 +40,17 @@ class RegularHarness {
   // True once any thread hit an OME (stages should drain quickly then).
   bool aborted() const { return ome_.load(std::memory_order_relaxed); }
 
-  double ElapsedMs() const { return watch_.ElapsedMs(); }
-
-  // Aggregates heap/spill stats across nodes and stamps wall time and the
-  // crash flag. Call once at the end of the job.
+  // Aggregates the job's heap/spill counter deltas across nodes (the peak
+  // heap stays node-lifetime) and stamps wall time and the crash flag. Call
+  // once at the end of the job.
   common::RunMetrics Finish();
 
   cluster::Cluster& cluster() { return cluster_; }
 
  private:
   cluster::Cluster& cluster_;
+  std::vector<memsim::HeapStats> heap_base_;
+  std::vector<serde::SpillStats> spill_base_;
   common::Stopwatch watch_;
   std::atomic<bool> ome_{false};
 };

@@ -1,6 +1,8 @@
 #include "itask/partition_manager.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -9,6 +11,28 @@
 #include "itask/runtime.h"
 
 namespace itask::core {
+namespace {
+
+// Stable-sorts |parts| by a key read once per partition, before sorting.
+// Payload sizes and load times change under concurrent spills, appends and
+// reloads; a comparator that reads them live is not a strict weak ordering,
+// and std::stable_sort then reads past the ends of its buffers.
+template <class KeyFn, class Before>
+void SortByKeySnapshot(std::vector<PartitionPtr>* parts, KeyFn key_of, Before before) {
+  using Key = decltype(key_of(parts->front()));
+  std::vector<std::pair<Key, PartitionPtr>> keyed;
+  keyed.reserve(parts->size());
+  for (PartitionPtr& dp : *parts) {
+    keyed.emplace_back(key_of(dp), std::move(dp));
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [&before](const auto& a, const auto& b) { return before(a.first, b.first); });
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    (*parts)[i] = std::move(keyed[i].second);
+  }
+}
+
+}  // namespace
 
 PartitionManager::PartitionManager(IrsRuntime* runtime, std::chrono::milliseconds thrash_window)
     : runtime_(runtime),
@@ -31,15 +55,10 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     const TaskSpec* consumer = graph.ConsumerOf(dp->type());
     return consumer != nullptr ? consumer->finish_distance : 0;
   };
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](const PartitionPtr& a, const PartitionPtr& b) {
-                     const int da = distance_of(a);
-                     const int db = distance_of(b);
-                     if (da != db) {
-                       return da > db;
-                     }
-                     return a->PayloadBytes() > b->PayloadBytes();
-                   });
+  SortByKeySnapshot(
+      &candidates,
+      [&](const PartitionPtr& dp) { return std::make_pair(distance_of(dp), dp->PayloadBytes()); },
+      std::greater<>());
 
   obs::Tracer* tracer = runtime_->tracer();
   const std::uint16_t node = runtime_->trace_node();
@@ -108,10 +127,9 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
   if (freed < bytes_goal && !recently_loaded.empty()) {
     // All remaining candidates are recent: spill the oldest-loaded ones
     // anyway (the paper's fallback when no partition has an earlier stamp).
-    std::stable_sort(recently_loaded.begin(), recently_loaded.end(),
-                     [](const PartitionPtr& a, const PartitionPtr& b) {
-                       return a->last_load_time() < b->last_load_time();
-                     });
+    SortByKeySnapshot(
+        &recently_loaded, [](const PartitionPtr& dp) { return dp->last_load_time(); },
+        std::less<>());
     for (const PartitionPtr& dp : recently_loaded) {
       if (freed >= bytes_goal) {
         break;

@@ -599,6 +599,15 @@ bool RecoveryContext::DeliverLocked(Entry& entry) {
       } catch (const memsim::OutOfMemoryError&) {
         // Target heap full right now; back off (capped exponential + jitter)
         // and re-check membership — the target may get demoted meanwhile.
+        // A poisoned heap refuses every allocation and never frees up, and
+        // only an OME escaping one of its own tasks would demote the node —
+        // which never comes when it has no task to run. Demote it here so
+        // the next attempt goes to the successor. Only this in-memory path
+        // sees the target's heap; a TCP delivery gets kBackoff above.
+        if (hooks_[static_cast<std::size_t>(target)].heap->poisoned() &&
+            membership_.TryDemoteToDraining(target) && tracer_ != nullptr) {
+          tracer_->Emit(obs::EventKind::kNodeDraining, static_cast<std::uint16_t>(target));
+        }
       }
     }
     if (landed) {

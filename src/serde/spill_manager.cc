@@ -1,8 +1,10 @@
 #include "serde/spill_manager.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
-#include <fstream>
+#include <cerrno>
+#include <cstring>
 #include <stdexcept>
 #include <system_error>
 
@@ -10,13 +12,40 @@
 #include "common/spin.h"
 
 namespace itask::serde {
+namespace {
+
+// Calls |op(done)| (one pread or pwrite of the bytes not yet moved) until |n|
+// bytes moved, retrying EINTR. Returns the bytes moved: fewer than |n| on end
+// of file or an error, and then errno says which.
+template <class Op>
+std::uint64_t TransferAll(std::uint64_t n, Op op) {
+  std::uint64_t done = 0;
+  while (done < n) {
+    const ssize_t r = op(done);
+    if (r < 0 && errno == EINTR) {
+      continue;
+    }
+    if (r <= 0) {
+      break;
+    }
+    done += static_cast<std::uint64_t>(r);
+  }
+  return done;
+}
+
+}  // namespace
 
 SpillManager::SpillManager(const std::filesystem::path& root, const std::string& node_name) {
-  dir_ = root / ("itask-spill-" + node_name + "-" + std::to_string(::getpid()));
+  static std::atomic<std::uint64_t> instances{0};
+  dir_ = root / ("itask-spill-" + node_name + "-" + std::to_string(::getpid()) + "-" +
+                 std::to_string(instances.fetch_add(1, std::memory_order_relaxed)));
   std::filesystem::create_directories(dir_);
 }
 
 SpillManager::~SpillManager() {
+  for (const auto& [index, segment] : segments_) {
+    ::close(segment->fd);
+  }
   std::error_code ec;
   std::filesystem::remove_all(dir_, ec);
   if (ec) {
@@ -24,8 +53,64 @@ SpillManager::~SpillManager() {
   }
 }
 
-std::filesystem::path SpillManager::PathFor(SpillId id) const {
-  return dir_ / ("part-" + std::to_string(id) + ".bin");
+std::filesystem::path SpillManager::SegmentPath(std::uint64_t index) const {
+  return dir_ / ("seg-" + std::to_string(index) + ".log");
+}
+
+std::unique_ptr<SpillManager::Segment> SpillManager::OpenSegment() {
+  auto segment = std::make_unique<Segment>();
+  segment->index = next_segment_.fetch_add(1, std::memory_order_relaxed);
+  const std::filesystem::path path = SegmentPath(segment->index);
+  segment->fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  if (segment->fd < 0) {
+    throw std::runtime_error("SpillManager: cannot create " + path.string() + ": " +
+                             std::strerror(errno));
+  }
+  return segment;
+}
+
+void SpillManager::CloseSegment(std::unique_ptr<Segment> segment) const {
+  if (segment == nullptr) {
+    return;
+  }
+  ::close(segment->fd);
+  ::unlink(SegmentPath(segment->index).c_str());
+}
+
+bool SpillManager::ReserveLocked(std::uint64_t bytes, std::unique_ptr<Segment>* fresh,
+                                 Extent* extent) {
+  // An empty active segment takes a spill of any size.
+  const bool fits =
+      active_ != nullptr && (active_->end == 0 || active_->end + bytes <= kSegmentBytes);
+  if (!fits) {
+    if (*fresh == nullptr) {
+      return false;
+    }
+    // Seal the active segment. It is not empty, so it has live extents, and
+    // the last of them to die unlinks it.
+    active_ = fresh->get();
+    segments_.emplace(active_->index, std::move(*fresh));
+  }
+  extent->segment = active_;
+  extent->offset = active_->end;
+  extent->bytes = bytes;
+  active_->end += bytes;
+  ++active_->live;
+  return true;
+}
+
+std::unique_ptr<SpillManager::Segment> SpillManager::DropExtentLocked(Segment* segment) {
+  if (--segment->live != 0) {
+    return nullptr;
+  }
+  if (segment == active_) {
+    segment->end = 0;  // Empty: reuse its blocks in place.
+    return nullptr;
+  }
+  auto it = segments_.find(segment->index);
+  std::unique_ptr<Segment> dead = std::move(it->second);
+  segments_.erase(it);
+  return dead;
 }
 
 void SpillManager::SetFailureInjection(const SpillFailureInjection& injection) {
@@ -77,106 +162,135 @@ void SpillManager::MaybeInjectFailure(bool is_write) {
 
 SpillManager::SpillId SpillManager::Spill(const common::ByteBuffer& buffer, int /*priority*/) {
   common::Stopwatch watch;
-  SpillId id;
-  {
-    std::lock_guard lock(mu_);
-    id = next_id_++;
+  const std::uint64_t bytes = buffer.size();
+  SpillId id = 0;
+  Extent extent;
+  std::unique_ptr<Segment> fresh;
+  while (true) {
+    {
+      std::lock_guard lock(mu_);
+      if (ReserveLocked(bytes, &fresh, &extent)) {
+        id = next_id_++;
+        break;
+      }
+    }
+    fresh = OpenSegment();  // Rotation: create the next segment with no lock held.
   }
-  const auto path = PathFor(id);
-  // A failed write must leave no trace: remove the partial file and keep
-  // file_bytes_/stats untouched (the id is simply burned).
-  const auto fail = [&path](const std::string& what) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    throw std::runtime_error(what);
+  CloseSegment(std::move(fresh));  // Non-null only if another writer rotated first.
+
+  // A failed write burns only its reserved range: it records no extent and
+  // leaves stats untouched.
+  const auto burn = [&] {
+    std::unique_ptr<Segment> dead;
+    {
+      std::lock_guard lock(mu_);
+      dead = DropExtentLocked(extent.segment);
+    }
+    CloseSegment(std::move(dead));
   };
   try {
     MaybeInjectFailure(/*is_write=*/true);
   } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
+    burn();
     throw;
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    fail("SpillManager: cannot open " + path.string());
-  }
-  out.write(reinterpret_cast<const char*>(buffer.data()),
-            static_cast<std::streamsize>(buffer.size()));
-  out.flush();
-  if (!out) {
-    fail("SpillManager: write failed for " + path.string());
+  const int fd = extent.segment->fd;
+  const std::uint64_t written = TransferAll(bytes, [&](std::uint64_t done) {
+    return ::pwrite(fd, buffer.data() + done, bytes - done,
+                    static_cast<off_t>(extent.offset + done));
+  });
+  if (written != bytes) {
+    const std::string what = "SpillManager: write failed for " +
+                             SegmentPath(extent.segment->index).string() + ": " +
+                             std::strerror(errno);
+    burn();
+    throw std::runtime_error(what);
   }
   {
     std::lock_guard lock(mu_);
-    file_bytes_[id] = buffer.size();
-    stats_.spilled_bytes += buffer.size();
+    extents_.emplace(id, extent);
+    stats_.spilled_bytes += bytes;
     ++stats_.spill_count;
     ++stats_.live_files;
-    stats_.live_file_bytes += buffer.size();
+    stats_.live_file_bytes += bytes;
     stats_.write_ms += watch.ElapsedMs();
   }
   if (tracer_ != nullptr) {
-    tracer_->Emit(obs::EventKind::kSpillWrite, trace_node_, buffer.size());
+    tracer_->Emit(obs::EventKind::kSpillWrite, trace_node_, bytes);
   }
   return id;
 }
 
 common::ByteBuffer SpillManager::LoadAndRemove(SpillId id) {
   common::Stopwatch watch;
-  std::uint64_t expected = 0;
   {
     std::lock_guard lock(mu_);
-    auto it = file_bytes_.find(id);
-    if (it == file_bytes_.end()) {
+    if (extents_.find(id) == extents_.end()) {
       throw std::runtime_error("SpillManager: unknown spill id " + std::to_string(id));
     }
-    expected = it->second;
   }
-  // Injected read failures fire before any state mutation: the entry and the
-  // file survive, so the spill stays loadable on retry.
+  // Injected read failures fire before any state changes, so the spill
+  // stays loadable on retry.
   MaybeInjectFailure(/*is_write=*/false);
-  const auto path = PathFor(id);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("SpillManager: cannot open " + path.string());
-  }
-  std::vector<std::uint8_t> data(expected);
-  in.read(reinterpret_cast<char*>(data.data()), static_cast<std::streamsize>(expected));
-  if (static_cast<std::uint64_t>(in.gcount()) != expected) {
-    throw std::runtime_error("SpillManager: short read from " + path.string());
-  }
-  // Qualified call: |id| is in *this* manager's namespace. Virtual dispatch
-  // would hand a derived manager an id it interprets as one of its own
-  // handles (the async engine keeps a separate handle space).
-  SpillManager::Remove(id);
+  Extent extent;
   {
     std::lock_guard lock(mu_);
-    stats_.loaded_bytes += expected;
+    auto it = extents_.find(id);
+    if (it == extents_.end()) {
+      throw std::runtime_error("SpillManager: spill id " + std::to_string(id) +
+                               " removed while loading");
+    }
+    // Claim the extent: a concurrent Remove of |id| now no-ops, and the
+    // segment's live count keeps the blocks from reuse until the read ends.
+    extent = it->second;
+    extents_.erase(it);
+  }
+  std::vector<std::uint8_t> data(extent.bytes);
+  const int fd = extent.segment->fd;
+  const std::uint64_t read = TransferAll(extent.bytes, [&](std::uint64_t done) {
+    return ::pread(fd, data.data() + done, extent.bytes - done,
+                   static_cast<off_t>(extent.offset + done));
+  });
+  if (read != extent.bytes) {
+    {
+      std::lock_guard lock(mu_);
+      extents_.emplace(id, extent);  // Still loadable.
+    }
+    throw std::runtime_error("SpillManager: short read from " +
+                             SegmentPath(extent.segment->index).string());
+  }
+  std::unique_ptr<Segment> dead;
+  {
+    std::lock_guard lock(mu_);
+    --stats_.live_files;
+    stats_.live_file_bytes -= extent.bytes;
+    stats_.loaded_bytes += extent.bytes;
     ++stats_.load_count;
     stats_.read_ms += watch.ElapsedMs();
+    dead = DropExtentLocked(extent.segment);
   }
+  CloseSegment(std::move(dead));
   if (tracer_ != nullptr) {
-    tracer_->Emit(obs::EventKind::kSpillRead, trace_node_, expected);
+    tracer_->Emit(obs::EventKind::kSpillRead, trace_node_, extent.bytes);
   }
   return common::ByteBuffer(std::move(data));
 }
 
 void SpillManager::Remove(SpillId id) {
-  std::uint64_t bytes = 0;
+  std::unique_ptr<Segment> dead;
   {
     std::lock_guard lock(mu_);
-    auto it = file_bytes_.find(id);
-    if (it == file_bytes_.end()) {
+    auto it = extents_.find(id);
+    if (it == extents_.end()) {
       return;
     }
-    bytes = it->second;
-    file_bytes_.erase(it);
+    const Extent extent = it->second;
+    extents_.erase(it);
     --stats_.live_files;
-    stats_.live_file_bytes -= bytes;
+    stats_.live_file_bytes -= extent.bytes;
+    dead = DropExtentLocked(extent.segment);
   }
-  std::error_code ec;
-  std::filesystem::remove(PathFor(id), ec);
+  CloseSegment(std::move(dead));
 }
 
 std::future<common::ByteBuffer> SpillManager::LoadAsync(SpillId id, int /*priority*/) {

@@ -89,6 +89,29 @@ TEST(NodeMetricsTest, ReusedClusterReportsEachJobsOwnCounters) {
   EXPECT_GT(second.metrics.spilled_bytes, 0u);
 }
 
+TEST(NodeMetricsTest, ReusedClusterReportsEachRegularJobsOwnCounters) {
+  // Regular jobs are scoped the same way: each of three back-to-back
+  // WordCounts on one cluster reports its own GCs, its input load included.
+  auto cluster = MakeCluster(4 << 20);
+  AppConfig config = SmallConfig();
+  config.dataset_bytes = 1 << 20;  // Enough to collect on a 4 MiB heap.
+  const auto gcs = [&cluster] {
+    std::uint64_t n = 0;
+    for (int i = 0; i < cluster.size(); ++i) {
+      n += cluster.node(i).heap().Stats().gc_count;
+    }
+    return n;
+  };
+  for (int job = 0; job < 3; ++job) {
+    const std::uint64_t before = gcs();
+    const AppResult r = RunHyracksApp("WC", cluster, config, Mode::kRegular);
+    ASSERT_TRUE(r.metrics.succeeded) << r.metrics.Summary();
+    const std::uint64_t own = gcs() - before;
+    ASSERT_GT(own, 0u) << "job " << job;
+    EXPECT_EQ(r.metrics.gc_count, own) << "job " << job;
+  }
+}
+
 class HadoopProblemTest : public ::testing::TestWithParam<const char*> {};
 
 HadoopProblemConfig SmallProblemConfig() {

@@ -4,6 +4,8 @@
 // the first failing seed before the corresponding fix landed.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "apps/hyracks_apps.h"
@@ -144,6 +146,35 @@ TEST(ChaosSweepTest, FirstEightSeedsRunCleanOnWordCount) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     ExpectCleanRun(RunUnderSeed("WC", seed), reference, seed);
   }
+}
+
+// chaos_run --json rolls each app's runs up field by field. Two runs that
+// both reproduce the reference must report that fingerprint and
+// fingerprints_matched, not the XOR of two equal checksums (0).
+TEST(ChaosRunJsonTest, TwoMatchingRunsReportTheReferenceFingerprint) {
+  const std::string command = std::string(CHAOS_RUN_BIN) + " --seeds 2 --apps WC --json";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    out.append(buf, n);
+  }
+  ASSERT_EQ(pclose(pipe), 0) << out;
+
+  const std::string ref_tag = "[ref] WC checksum=";
+  const std::size_t ref_at = out.find(ref_tag);
+  ASSERT_NE(ref_at, std::string::npos) << out;
+  const std::uint64_t reference =
+      std::strtoull(out.c_str() + ref_at + ref_tag.size(), nullptr, 16);
+  ASSERT_NE(reference, 0u);
+  const std::string json = out.substr(out.rfind("\n{") + 1);
+  EXPECT_NE(json.find("\"WC\":{\"runs\":2,\"fingerprints_matched\":true,"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"result_checksum\":" + std::to_string(reference) + ","),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // coordinator deadline, and the policy-ablation modes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/itask_job.h"
@@ -210,6 +213,45 @@ TEST_F(PartitionManagerTest, ThrashControlSkipsRecentlyLoaded) {
   runtime_.partition_manager().SpillStep(5 << 10);
   EXPECT_TRUE(a->resident());
   EXPECT_FALSE(b->resident());
+}
+
+TEST_F(PartitionManagerTest, ConcurrentSpillStepsWhilePartitionsReload) {
+  // SpillStep runs from the monitor and from OME interrupts at once, and each
+  // ranks the queue's resident partitions by payload size and load time
+  // while other threads spill and reload them. A comparator that read those
+  // live broke std::stable_sort's ordering contract and read past its
+  // buffer (a heap-buffer-overflow under ASan, an intermittent SIGSEGV
+  // without it); ranking reads each key once.
+  const TypeId t = TypeIds::Get("pm.race");
+  std::vector<PartitionPtr> parts;
+  for (int i = 0; i < 256; ++i) {
+    parts.push_back(MakeQueued(t, 1 + i % 7));
+  }
+  std::atomic<bool> stop{false};
+  std::thread reloader([&] {
+    while (!stop.load()) {
+      for (const PartitionPtr& dp : parts) {
+        dp->EnsureResident();
+      }
+    }
+  });
+  std::vector<std::thread> spillers;
+  for (int s = 0; s < 4; ++s) {
+    spillers.emplace_back([this] {
+      for (int i = 0; i < 2000; ++i) {
+        runtime_.partition_manager().SpillStep(8 << 10);
+      }
+    });
+  }
+  for (std::thread& spiller : spillers) {
+    spiller.join();
+  }
+  stop.store(true);
+  reloader.join();
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    parts[i]->EnsureResident();
+    EXPECT_EQ(parts[i]->TupleCount(), 1 + i % 7);
+  }
 }
 
 }  // namespace

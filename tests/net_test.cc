@@ -672,7 +672,13 @@ TEST(CtrlPlane, JoinDispatchResultShutdown) {
       return result;
     });
   };
+  // Node ids follow join order: start beta only once alpha has joined.
   std::thread d0(daemon, "alpha", 1 << 20);
+  if (!server.WaitForNodes(1, 10000)) {
+    server.Shutdown();
+    d0.join();
+    FAIL() << "alpha never joined";
+  }
   std::thread d1(daemon, "beta", 2 << 20);
 
   ASSERT_TRUE(server.WaitForNodes(2, 10000));

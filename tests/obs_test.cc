@@ -367,9 +367,10 @@ TEST(HistogramTest, MergedQuantilesStayMonotonic) {
     EXPECT_GE(v, prev) << "quantile regressed at q=" << q;
     prev = v;
   }
-  // Note Quantile(1.0) may exceed the observed max: it interpolates to the
-  // covering bucket's upper bound, which is the documented tradeoff of the
-  // fixed-ladder histogram.
+  // Quantile interpolates within the covering bucket but clamps to the
+  // observed max, so Quantile(1.0) never exceeds it (see
+  // QuantilesNeverExceedObservedMax); the clamp keeps the merged quantiles
+  // monotonic.
 }
 
 TEST(TraceExportTest, FlowEventsExportAsSendRecvPairs) {

@@ -340,6 +340,35 @@ TEST_F(LedgerTest, StagedEntriesDeliverOnceOnCommit) {
   EXPECT_TRUE(rec_.AllComplete());
 }
 
+TEST_F(LedgerTest, DeliveryDemotesAPoisonedOwner) {
+  // A poisoned owner refuses every allocation. With no task of its own whose
+  // OME could escape, only the delivery sees it: the delivery demotes it to
+  // draining, and the entry lands on the successor instead of retrying.
+  auto split = MakePartition(0, kNoTag, {1, 2, 3});
+  const std::int64_t id = rec_.RegisterSplit(*split, 0);
+  auto out = MakePartition(0, /*tag=*/1, {10, 20});
+  out->set_origin(id, 0);
+  ASSERT_TRUE(rec_.StageShuffle(/*producer=*/0, /*home=*/1, out));
+  heap1_.Poison();
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  rec_.set_tracer(&tracer);
+  rec_.CommitEpoch(/*producer=*/0, id, /*epoch=*/0);
+  rec_.set_tracer(nullptr);
+  EXPECT_EQ(rec_.membership().state(1), NodeLiveness::kDraining);
+  EXPECT_TRUE(pushed_[1].empty());
+  ASSERT_EQ(pushed_[0].size(), 1u);
+  EXPECT_EQ(pushed_[0].front()->TupleCount(), 2u);
+  int draining_events = 0;
+  for (const obs::Event& e : tracer.Snapshot()) {
+    if (e.kind == obs::EventKind::kNodeDraining) {
+      EXPECT_EQ(e.node, 1);
+      ++draining_events;
+    }
+  }
+  EXPECT_EQ(draining_events, 1);
+}
+
 TEST_F(LedgerTest, DeadProducerIsFencedAndSplitReexecutes) {
   auto split = MakePartition(0, kNoTag, {1, 2, 3});
   const std::int64_t id = rec_.RegisterSplit(*split, 0);

@@ -382,6 +382,7 @@ int main(int argc, char** argv) {
   struct JobRollup {
     std::uint64_t runs = 0;
     itask::common::RunMetrics metrics;
+    bool fingerprints_matched = true;  // Every run reproduced the reference.
   };
   std::map<std::string, JobRollup> per_job;
 
@@ -416,12 +417,15 @@ int main(int argc, char** argv) {
       last_points = fuzzer.points_hit();
       ++runs;
 
+      const bool matched = result.checksum == reference[app].checksum &&
+                           result.records == reference[app].records;
       JobRollup& rollup = per_job[app];
       if (rollup.runs++ == 0) {
         rollup.metrics = result.metrics;
       } else {
         rollup.metrics.Merge(result.metrics);
       }
+      rollup.fingerprints_matched = rollup.fingerprints_matched && matched;
 
       std::string what;
       const auto in_path = itask::chaos::DrainViolations();
@@ -431,8 +435,7 @@ int main(int argc, char** argv) {
         what = "in-path: " + in_path.front();
       } else if (!result.metrics.succeeded) {
         what = "job did not complete: " + result.metrics.Summary();
-      } else if (result.checksum != reference[app].checksum ||
-                 result.records != reference[app].records) {
+      } else if (!matched) {
         char buf[128];
         std::snprintf(buf, sizeof(buf), "result mismatch: checksum %016llx != %016llx",
                       static_cast<unsigned long long>(result.checksum),
@@ -515,7 +518,13 @@ int main(int argc, char** argv) {
       first_job = false;
       JsonEscape(&out, app);
       out += "\":{\"runs\":" + std::to_string(rollup.runs);
-      AppendMetricsJson(&out, rollup.metrics);
+      out += std::string(",\"fingerprints_matched\":") +
+             (rollup.fingerprints_matched ? "true" : "false");
+      // result_checksum folds by XOR, so identical runs would cancel out:
+      // report the reference fingerprint every run was checked against.
+      itask::common::RunMetrics metrics = rollup.metrics;
+      metrics.result_checksum = reference[app].checksum;
+      AppendMetricsJson(&out, metrics);
       char q[96];
       std::snprintf(q, sizeof(q), ",\"interrupt_p99_us\":%.2f,\"gc_p99_us\":%.2f}",
                     rollup.metrics.interrupt_latency_hist.Quantile(0.99) / 1e3,
