@@ -40,11 +40,6 @@ struct ClusterConfig {
   // pre-net direct-dispatch path; kTcp/kUds route fault-tolerant jobs'
   // shuffle deliveries, acks and heartbeats over loopback sockets.
   net::NetConfig net;
-  // Per-node heap capacity overrides (bytes), for skewed-pressure topologies
-  // (chaos_run --skew, bench_migration): node i gets per_node_heap_bytes[i]
-  // instead of heap.capacity_bytes when the entry exists and is nonzero.
-  // Every other HeapConfig field is shared.
-  std::vector<std::uint64_t> per_node_heap_bytes;
 };
 
 // Environment overrides for the I/O engine, applied on top of |base|:
@@ -89,12 +84,7 @@ class Cluster {
     const std::filesystem::path& spill_dir = ec ? config.spill_root : run_spill_dir_;
     const NodeIoConfig io = NodeIoConfigFromEnv(config.io);
     for (int i = 0; i < config.num_nodes; ++i) {
-      memsim::HeapConfig heap = config.heap;
-      if (static_cast<std::size_t>(i) < config.per_node_heap_bytes.size() &&
-          config.per_node_heap_bytes[static_cast<std::size_t>(i)] != 0) {
-        heap.capacity_bytes = config.per_node_heap_bytes[static_cast<std::size_t>(i)];
-      }
-      nodes_.push_back(std::make_unique<Node>(i, heap, spill_dir, &tracer_, io));
+      nodes_.push_back(std::make_unique<Node>(i, config.heap, spill_dir, &tracer_, io));
     }
     // Post-mortem capture source (no-op unless ITASK_FLIGHT_RECORDER=1, in
     // which case registration also enables the tracer so a dump has data).

@@ -1,6 +1,7 @@
 // FailureModel: a schedule of node faults for chaos runs and recovery tests.
 //
-// Three fault kinds, each applied to one node at a job-relative time:
+// Five fault kinds, each applied to one node at a job-relative time (and,
+// optionally, only once the node has committed some input splits):
 //
 //  - kKill: the node "crashes" — its runtime is fenced immediately (queue
 //    drained and purged, late pushes discarded) and its heartbeats stop. The
@@ -22,10 +23,14 @@
 //
 // The schedule is applied by the coordinator's fault-poll hook (see
 // ItaskJob::EnableFaultTolerance), so faults fire between poll ticks with
-// ~1ms resolution — deterministic enough for seeded chaos sweeps.
+// ~1ms resolution — deterministic enough for seeded chaos sweeps. A killed
+// node holds the job open until the detector has declared it dead, so a job
+// that outruns the wall-clock dead timeout still reports the failure.
 #ifndef ITASK_CLUSTER_FAILURE_MODEL_H_
 #define ITASK_CLUSTER_FAILURE_MODEL_H_
 
+#include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -50,11 +55,17 @@ struct NodeFault {
   // against wall-clock silence otherwise. 0 keeps real-time semantics
   // (chaos default).
   double silence_age_ms = 0.0;
+  // Also wait until the node has committed this many input splits: a
+  // progress point instead of a wall-clock guess, so a fast job cannot
+  // finish its work on the node before the fault lands. 0 = time only.
+  std::uint64_t after_commits = 0;
 };
 
 class FailureModel {
  public:
-  void ScheduleKill(int node, double at_ms) { Add({node, at_ms, FaultKind::kKill}); }
+  void ScheduleKill(int node, double at_ms, std::uint64_t after_commits = 0) {
+    Add({node, at_ms, FaultKind::kKill, 0.0, after_commits});
+  }
   void ScheduleHang(int node, double at_ms, double silence_age_ms = 0.0) {
     Add({node, at_ms, FaultKind::kHang, silence_age_ms});
   }
@@ -77,13 +88,16 @@ class FailureModel {
     return pending_.empty();
   }
 
-  // Removes and returns the faults due at |elapsed_ms|. Each fault fires
-  // exactly once.
-  std::vector<NodeFault> TakeDue(double elapsed_ms) {
+  // Removes and returns the faults due at |elapsed_ms|, given each node's
+  // committed-split count. Each fault fires exactly once.
+  std::vector<NodeFault> TakeDue(double elapsed_ms,
+                                 const std::function<std::uint64_t(int)>& commits_of) {
     std::lock_guard lock(mu_);
     std::vector<NodeFault> due;
     for (std::size_t i = 0; i < pending_.size();) {
-      if (pending_[i].at_ms <= elapsed_ms) {
+      if (pending_[i].at_ms <= elapsed_ms &&
+          (pending_[i].after_commits == 0 ||
+           commits_of(pending_[i].node) >= pending_[i].after_commits)) {
         due.push_back(pending_[i]);
         pending_[i] = pending_.back();
         pending_.pop_back();

@@ -159,7 +159,7 @@ class ItaskJob {
       coordinator_->EnableFaultTolerance(recovery_.get());
       if (failure_model_ != nullptr) {
         coordinator_->SetFaultPoll(
-            [this](double elapsed_ms) { ApplyDueFaults(elapsed_ms); });
+            [this](double elapsed_ms) { return ApplyDueFaults(elapsed_ms); });
       }
     }
     return coordinator_->Run(feed, deadline_ms);
@@ -194,8 +194,14 @@ class ItaskJob {
   }
 
  private:
-  void ApplyDueFaults(double elapsed_ms) {
-    for (const NodeFault& fault : failure_model_->TakeDue(elapsed_ms)) {
+  // Applies the faults due now. Returns true while a killed node is still
+  // serving in the detector's view: the job must not finish before the
+  // failure it was handed has been observed and recovered.
+  bool ApplyDueFaults(double elapsed_ms) {
+    const auto due = failure_model_->TakeDue(elapsed_ms, [this](int node) {
+      return node >= 0 && node < num_nodes() ? recovery_->commits(node) : 0;
+    });
+    for (const NodeFault& fault : due) {
       if (fault.node < 0 || fault.node >= num_nodes()) {
         continue;
       }
@@ -212,6 +218,7 @@ class ItaskJob {
           if (fabric_ != nullptr) {
             fabric_->CloseNode(fault.node);
           }
+          killed_.push_back(fault.node);
           break;
         case FaultKind::kHang:
           // Zombie: only the beats stop; the runtime keeps executing until
@@ -250,6 +257,12 @@ class ItaskJob {
           break;
       }
     }
+    for (int node : killed_) {
+      if (recovery_->membership().Serving(node)) {
+        return true;
+      }
+    }
+    return false;
   }
 
   std::shared_ptr<core::JobState> state_;
@@ -262,6 +275,7 @@ class ItaskJob {
   // recovery context they point into goes away.
   std::unique_ptr<net::ShuffleFabric> fabric_;
   FailureModel* failure_model_ = nullptr;
+  std::vector<int> killed_;  // Nodes a kKill fault has fenced.
   // Registry counters at construction; Metrics() reports the delta.
   common::BackoffRegistry::Snapshot backoff_base_;
 };

@@ -92,11 +92,6 @@ enum class FoldRule : std::uint8_t {
   X(std::uint64_t, shuffle_retries, kSum)                                             \
   X(std::uint64_t, shuffle_redeliveries, kSum)                                        \
   X(std::uint64_t, duplicate_tuples_dropped, kSum)                                    \
-  /* Pressure-driven migration, job-wide: victims shipped to a peer instead of */     \
-  /* disk, their payload bytes, and broker refusals (stale/full/cost/ineligible). */  \
-  X(std::uint64_t, partitions_migrated, kSum)                                         \
-  X(std::uint64_t, migrated_bytes, kSum)                                              \
-  X(std::uint64_t, migrations_rejected, kSum)                                         \
   /* Network faults and resilience, job-wide: fault-engine decisions that fired, */   \
   /* kDisconnected nodes whose beats came back, BackoffUse retries and give-ups. */   \
   X(std::uint64_t, net_faults_injected, kSum)                                         \

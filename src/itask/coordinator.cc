@@ -36,9 +36,7 @@ bool JobCoordinator::Run(const std::function<void()>& feed, double deadline_ms) 
       aborted_ = true;
       break;
     }
-    if (fault_poll_) {
-      fault_poll_(watch.ElapsedMs());
-    }
+    const bool fault_hold = fault_poll_ && fault_poll_(watch.ElapsedMs());
     if (recovery_ != nullptr) {
       if (!DetectFailures()) {
         state_->aborted.store(true, std::memory_order_release);
@@ -53,7 +51,7 @@ bool JobCoordinator::Run(const std::function<void()>& feed, double deadline_ms) 
     // tolerance) the recovery ledger is drained — counters alone look
     // quiescent in the window between a kill and its detection, while the
     // lost node's splits still need re-execution.
-    if (state_->Quiescent() &&
+    if (!fault_hold && state_->Quiescent() &&
         (recovery_ == nullptr || recovery_->AllComplete())) {
       if (++quiescent_streak >= 3) {
         aborted_ = false;
@@ -183,9 +181,6 @@ common::RunMetrics JobCoordinator::AggregateMetrics() const {
     total.shuffle_retries = rs.shuffle_retries;
     total.shuffle_redeliveries = rs.redeliveries;
     total.duplicate_tuples_dropped = rs.duplicates_dropped;
-    total.partitions_migrated = rs.partitions_migrated;
-    total.migrated_bytes = rs.migrated_bytes;
-    total.migrations_rejected = rs.migrations_rejected;
     total.partitions_healed = partitions_healed_;
   }
   return total;

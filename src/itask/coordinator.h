@@ -32,8 +32,9 @@ class JobCoordinator {
   void EnableFaultTolerance(RecoveryContext* recovery) { recovery_ = recovery; }
 
   // Hook invoked once per poll tick with the elapsed job time; the cluster's
-  // failure model uses it to inject kill/hang/poison faults on schedule.
-  void SetFaultPoll(std::function<void(double elapsed_ms)> poll) {
+  // failure model uses it to inject kill/hang/poison faults on schedule. It
+  // returns true to hold the job open (an injected fault awaits detection).
+  void SetFaultPoll(std::function<bool(double elapsed_ms)> poll) {
     fault_poll_ = std::move(poll);
   }
 
@@ -59,7 +60,7 @@ class JobCoordinator {
   std::shared_ptr<JobState> state_;
   std::vector<IrsRuntime*> runtimes_;
   RecoveryContext* recovery_ = nullptr;
-  std::function<void(double)> fault_poll_;
+  std::function<bool(double)> fault_poll_;
   // Nodes whose loss has already been recovered (fenced + ledger repaired).
   std::vector<bool> lost_handled_;
   std::uint64_t nodes_failed_ = 0;

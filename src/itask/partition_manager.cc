@@ -7,7 +7,6 @@
 
 #include "chaos/chaos.h"
 #include "common/logging.h"
-#include "itask/recovery.h"
 #include "itask/runtime.h"
 
 namespace itask::core {
@@ -88,15 +87,6 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     return bytes;
   };
 
-  // Three-way decision per victim: keep (skip), migrate to a peer with
-  // headroom, or spill to local disk. The sort above already ranks the best
-  // migration candidates first — a partition far from the finish line is
-  // needed last, so shipping it off-node costs the least locality.
-  auto relieve_one = [&](const PartitionPtr& dp) -> std::uint64_t {
-    const std::uint64_t migrated = TryMigrate(dp);
-    return migrated > 0 ? migrated : spill_one(dp);
-  };
-
   std::uint64_t freed = 0;
   std::vector<PartitionPtr> recently_loaded;
   for (const PartitionPtr& dp : candidates) {
@@ -108,21 +98,12 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     }
     // Thrash control: partitions deserialized within the cooldown window are
     // not spilled (the write + imminent reload is the ping-pong the window
-    // exists to prevent) — but they may still *migrate*: shipping the bytes
-    // to a peer with headroom ends the local pressure without any disk
-    // round trip, so the cooldown's rationale does not apply to that arm.
-    // Interrupted-task remainders re-queued moments ago (the prime migration
-    // candidates) become reachable on the first pressure episode this way.
+    // exists to prevent).
     if (now - dp->last_load_time() < thrash_window_) {
-      const std::uint64_t migrated = TryMigrate(dp);
-      if (migrated > 0) {
-        freed += migrated;
-      } else {
-        recently_loaded.push_back(dp);
-      }
+      recently_loaded.push_back(dp);
       continue;
     }
-    freed += relieve_one(dp);
+    freed += spill_one(dp);
   }
   if (freed < bytes_goal && !recently_loaded.empty()) {
     // All remaining candidates are recent: spill the oldest-loaded ones
@@ -135,7 +116,7 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
         break;
       }
       if (!dp->pinned() && dp->resident()) {
-        freed += relieve_one(dp);
+        freed += spill_one(dp);
       }
     }
   }
@@ -145,72 +126,6 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     LOG_DEBUG() << "PartitionManager spilled " << freed << " bytes (goal " << bytes_goal << ")";
   }
   return freed;
-}
-
-std::uint64_t PartitionManager::TryMigrate(const PartitionPtr& dp) {
-  RecoveryContext* rec = runtime_->recovery();
-  if (rec == nullptr || !rec->broker().config().enable) {
-    return 0;  // No lineage to ledger the move through: keep/spill only.
-  }
-  const MigrationConfig& cfg = rec->broker().config();
-  const std::uint64_t bytes = dp->PayloadBytes();
-  // Eligibility is silent (no rejection event): only still-queued input
-  // splits move. Merge inputs must stay tag-colocated — two partial merges
-  // of one tag would double-commit at the sink — and anything without a
-  // durable-store origin could not replay if the destination died.
-  if (bytes < cfg.min_bytes || dp->origin_split() == DataPartition::kNoSplit) {
-    return 0;
-  }
-  const TaskSpec* consumer = runtime_->graph().ConsumerOf(dp->type());
-  if (consumer == nullptr || consumer->is_merge) {
-    return 0;
-  }
-  obs::Tracer* tracer = runtime_->tracer();
-  const std::uint16_t node = runtime_->trace_node();
-  auto reject = [&](MigrationReject why) -> std::uint64_t {
-    rec->NoteMigrationRejected();
-    tracer->Emit(obs::EventKind::kMigrationRejected, node, bytes,
-                 static_cast<std::uint64_t>(why),
-                 static_cast<std::uint32_t>(dp->type()));
-    return 0;
-  };
-  // Per-tenant arbitration: a protected tenant's partitions never leave the
-  // node involuntarily (mirrors the REDUCE gate in the monitor loop).
-  if (runtime_->services().heap->PressureVictimRank(runtime_->services().job_id) ==
-      memsim::PressureRank::kProtected) {
-    return reject(MigrationReject::kIneligible);
-  }
-  if (!rec->broker().MigrationCheaper(bytes)) {
-    return reject(MigrationReject::kCost);
-  }
-  const int source = runtime_->services().node_id;
-  const int target = rec->broker().PickDestination(
-      source, bytes, [rec](int n) { return rec->membership().Serving(n); });
-  if (target < 0) {
-    return reject(MigrationReject::kNoDestination);
-  }
-  if (!runtime_->queue().TryRemove(dp)) {
-    return 0;  // A worker popped it between snapshot and now; theirs.
-  }
-  switch (rec->MigratePartition(source, target, dp)) {
-    case RecoveryContext::MigrateOutcome::kMigrated:
-      dp->Purge();  // The peer owns the data now; free the local charge.
-      tracer->Emit(obs::EventKind::kPartitionMigrated, node, bytes,
-                   static_cast<std::uint64_t>(target),
-                   static_cast<std::uint32_t>(dp->type()));
-      return bytes;
-    case RecoveryContext::MigrateOutcome::kAbandoned:
-      // Fate settled away from this node (re-execution scheduled, or a
-      // landed copy finished the work); the local copy is redundant either
-      // way. Freeing it is exactly the relief the caller asked for.
-      dp->Purge();
-      return bytes;
-    case RecoveryContext::MigrateOutcome::kFailed:
-      // Verifiably never left; re-queue and let the caller spill it instead.
-      runtime_->queue().Push(dp);
-      return reject(MigrationReject::kDeliveryFailed);
-  }
-  return 0;
 }
 
 void PartitionManager::EnsureResident(const PartitionPtr& dp) {

@@ -38,13 +38,6 @@ class PartitionManager {
   std::uint64_t lazy_serialized_bytes() const { return lazy_serialized_->value(); }
 
  private:
-  // The migrate leg of the three-way keep / spill / migrate decision
-  // (DESIGN.md §14): consult the broker for a peer with heap headroom and
-  // ship the victim there instead of to the local disk. Returns the bytes
-  // freed from this node's heap (0 when migration was rejected or failed —
-  // the caller falls back to spilling the same victim).
-  std::uint64_t TryMigrate(const PartitionPtr& dp);
-
   IrsRuntime* runtime_;
   std::chrono::milliseconds thrash_window_;
   obs::Counter* lazy_serialized_;  // Lives in the runtime's registry.

@@ -158,32 +158,6 @@ std::vector<PartitionPtr> PartitionQueue::PopTagGroup(TypeId type) {
   return group;
 }
 
-bool PartitionQueue::TryRemove(const PartitionPtr& dp) {
-  std::lock_guard lock(mu_);
-  if (closed_) {
-    return false;
-  }
-  auto it = by_type_.find(dp->type());
-  if (it == by_type_.end()) {
-    return false;
-  }
-  auto tag_it = it->second.find(dp->tag());
-  if (tag_it == it->second.end()) {
-    return false;
-  }
-  auto& fifo = tag_it->second;
-  auto pos = std::find(fifo.begin(), fifo.end(), dp);
-  if (pos == fifo.end()) {
-    return false;
-  }
-  fifo.erase(pos);
-  // Same discipline as PopOne: pin after the physical removal, NotePop last,
-  // all under mu_ — counter readers never under-count queued partitions.
-  dp->set_pinned(true);
-  state_->NotePop(dp->type());
-  return true;
-}
-
 bool PartitionQueue::HasAny(TypeId type) const {
   std::lock_guard lock(mu_);
   auto it = by_type_.find(type);

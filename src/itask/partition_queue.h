@@ -38,13 +38,6 @@ class PartitionQueue {
   // resident data first). Empty if none.
   std::vector<PartitionPtr> PopTagGroup(TypeId type);
 
-  // Removes one specific queued partition (by identity) for migration off
-  // the node, pinning it so spill passes working from an older snapshot
-  // refuse it. False when the partition is no longer queued (a worker popped
-  // it between the caller's snapshot and now) or the queue is closed — the
-  // caller must then leave it alone.
-  bool TryRemove(const PartitionPtr& dp);
-
   bool HasAny(TypeId type) const;
   bool HasResident(TypeId type) const;
   std::size_t TotalCount() const;

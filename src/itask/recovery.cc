@@ -43,8 +43,8 @@ RecoveryConfig RecoveryConfig::FromEnv() {
 RecoveryContext::RecoveryContext(RecoveryConfig config, int num_nodes)
     : config_(config),
       membership_(num_nodes),
-      broker_(num_nodes, MigrationConfig::FromEnv()),
-      hooks_(static_cast<std::size_t>(num_nodes)) {
+      hooks_(static_cast<std::size_t>(num_nodes)),
+      node_commits_(static_cast<std::size_t>(num_nodes)) {
   memsim::HeapConfig sink_heap_config;
   sink_heap_config.capacity_bytes = 1ULL << 40;  // Effectively unbounded.
   sink_heap_config.gc_base_ns = 0;
@@ -73,7 +73,7 @@ void RecoveryContext::SetDeliveryChannel(DeliveryChannel channel) {
   delivery_channel_ = std::move(channel);
 }
 
-void RecoveryContext::SetBeatSink(std::function<void(int, std::uint64_t, std::uint64_t)> sink) {
+void RecoveryContext::SetBeatSink(std::function<void(int)> sink) {
   std::lock_guard lock(mu_);
   beat_sink_ = std::move(sink);
 }
@@ -83,23 +83,17 @@ void RecoveryContext::SetNodeLostHook(std::function<void(int)> hook) {
   node_lost_hook_ = std::move(hook);
 }
 
-void RecoveryContext::Heartbeat(int node, std::uint64_t used_bytes,
-                                std::uint64_t capacity_bytes) {
+void RecoveryContext::Heartbeat(int node) {
   // The sink is installed before runtimes start and detached after they stop;
   // no monitor thread can race the assignment.
   if (beat_sink_) {
-    beat_sink_(node, used_bytes, capacity_bytes);
+    beat_sink_(node);
   } else {
     membership_.Beat(node);
-    broker_.Update(node, used_bytes, capacity_bytes);
   }
 }
 
-void RecoveryContext::NoteRemoteHeartbeat(int node, std::uint64_t used_bytes,
-                                          std::uint64_t capacity_bytes) {
-  membership_.Beat(node);
-  broker_.Update(node, used_bytes, capacity_bytes);
-}
+void RecoveryContext::NoteRemoteHeartbeat(int node) { membership_.Beat(node); }
 
 void RecoveryContext::NoteLinkDown(int node) {
   if (node < 0 || node >= membership_.size()) {
@@ -206,6 +200,7 @@ void RecoveryContext::CommitEpoch(int producer, std::int64_t split, std::uint32_
   s.state = Split::State::kCommitted;
   s.bytes.Clear();  // Input bytes are no longer needed once outputs committed.
   uncommitted_splits_.fetch_sub(1, std::memory_order_release);
+  node_commits_[static_cast<std::size_t>(producer)].fetch_add(1, std::memory_order_relaxed);
   for (Entry& e : entries_) {
     if (e.split != split || e.epoch != epoch || e.committed) {
       continue;
@@ -412,130 +407,6 @@ void RecoveryContext::Sweep() {
   }
 }
 
-RecoveryContext::MigrateOutcome RecoveryContext::MigratePartition(
-    int source, int target, const PartitionPtr& dp) {
-  const std::int64_t split = dp->origin_split();
-  const std::uint32_t epoch = dp->origin_epoch();
-  const std::uint64_t payload_bytes = dp->PayloadBytes();
-  // The caller holds exclusive ownership (victim removed from its queue and
-  // pinned), so serializing without the partition's state lock mirrors
-  // RegisterSplit. Only the unprocessed remainder ships — the processed
-  // prefix's outputs already sit in the ledger under (split, epoch).
-  common::ByteBuffer bytes;
-  serde::Writer writer(&bytes);
-  dp->SerializeTo(writer);
-
-  const std::uint64_t seq =
-      kMigrationSeqBit | migration_seq_.fetch_add(1, std::memory_order_relaxed);
-  const ShuffleWireId id{split, epoch, seq, dp->type(), dp->tag()};
-
-  {
-    // Remap ownership BEFORE the frame leaves: from here on, a target death
-    // at *any* moment makes OnNodeLost(target) discard every (split, epoch)
-    // entry — including outputs the source staged before the move — and
-    // re-execute from durable bytes. There is no window where the partition
-    // is in flight but unowned. Anything that is not an uncommitted,
-    // still-queued input split of a serving source fails fast.
-    std::lock_guard lock(mu_);
-    if (split < 0 || split >= static_cast<std::int64_t>(splits_.size())) {
-      return MigrateOutcome::kFailed;
-    }
-    Split& s = splits_[static_cast<std::size_t>(split)];
-    if (s.epoch != epoch || s.state != Split::State::kQueued ||
-        s.assigned_node != source || !membership_.Serving(source) ||
-        !membership_.Serving(target)) {
-      return MigrateOutcome::kFailed;
-    }
-    s.assigned_node = target;
-  }
-
-  // Delivery runs without mu_ — remap is done, retries consult only
-  // membership, and the factories/hooks the inproc path reads are frozen
-  // before the job starts (same contract RemotePush relies on).
-  bool landed = false;
-  bool definitive_failure = false;
-  bool ambiguous_seen = false;
-  for (int attempt = 0; attempt <= config_.shuffle_retries; ++attempt) {
-    if (!membership_.Serving(target)) {
-      break;  // Target fenced mid-flight; OnNodeLost/Sweep own the replay.
-    }
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      BackoffSleep(attempt, Mix64(seq));
-    }
-    if (delivery_channel_) {
-      const DeliveryStatus st = delivery_channel_(target, id, bytes);
-      if (st == DeliveryStatus::kDelivered) {
-        landed = true;
-        break;
-      }
-      if (st == DeliveryStatus::kPeerGone) {
-        definitive_failure = true;  // Send refused before the frame left,
-        break;                      // or the receiver refused to take it.
-      }
-      // kBackoff covers both receiver pressure and a lost ack — the frame
-      // may have landed. Retry with the same (split, epoch, seq): the
-      // receiver's dedup absorbs a landed-but-unacked duplicate and acks it
-      // as delivered. Remember the ambiguity for the failure handling.
-      ambiguous_seen = true;
-      continue;
-    }
-    try {
-      PartitionPtr moved = Materialize(dp->type(), target, bytes);
-      moved->set_tag(dp->tag());
-      moved->set_origin(split, epoch);
-      hooks_[static_cast<std::size_t>(target)].push(std::move(moved));
-      landed = true;
-      break;
-    } catch (const memsim::OutOfMemoryError&) {
-      // The inproc push either lands or throws, so exhausting retries here
-      // is a *definitive* failure — nothing ever reached the target.
-      definitive_failure = true;
-    }
-  }
-
-  if (landed) {
-    partitions_migrated_.fetch_add(1, std::memory_order_relaxed);
-    migrated_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-    return MigrateOutcome::kMigrated;
-  }
-
-  std::lock_guard lock(mu_);
-  Split& s = splits_[static_cast<std::size_t>(split)];
-  if (s.epoch != epoch || s.state != Split::State::kQueued) {
-    // Either a concurrent OnNodeLost(target) already bumped the epoch and
-    // scheduled re-execution, or a landed-but-unacked copy finished the
-    // split and committed it. Both mean the data's fate is settled; the
-    // caller just drops its now-redundant local copy.
-    return MigrateOutcome::kAbandoned;
-  }
-  if (definitive_failure && !ambiguous_seen && membership_.Serving(source)) {
-    // The frame verifiably never landed (every attempt failed before
-    // delivery, none timed out ambiguously): hand the split back and let
-    // the caller re-queue the partition it still holds. An earlier lost ack
-    // would poison this path — a landed stray could double-execute against
-    // the revived source copy — hence the ambiguous_seen guard.
-    s.assigned_node = source;
-    return MigrateOutcome::kFailed;
-  }
-  // Ambiguous (acks exhausted against a still-serving target), or the source
-  // can no longer take the partition back. A landed copy may already be
-  // processing, so reverting risks double-execution — instead pretend the
-  // data died in transit: discard the epoch's staged entries, bump the epoch
-  // (fencing any stray copy's future outputs and its commit) and re-execute
-  // from durable bytes via Sweep. Strictly conservative: worst case is one
-  // redundant re-execution, never a duplicate or lost tuple.
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [split, epoch](const Entry& e) {
-                                  return e.split == split && e.epoch == epoch;
-                                }),
-                 entries_.end());
-  ++s.epoch;
-  s.state = Split::State::kPending;
-  sweep_needed_.store(true, std::memory_order_release);
-  return MigrateOutcome::kAbandoned;
-}
-
 bool RecoveryContext::DeliverLocked(Entry& entry) {
   if (entry.delivered) {
     // (split, epoch, seq) already landed on a serving owner: a re-delivered
@@ -660,9 +531,6 @@ RecoveryStats RecoveryContext::stats() const {
   s.fenced_rejects = fenced_rejects_.load(std::memory_order_relaxed);
   s.stale_commits = stale_commits_.load(std::memory_order_relaxed);
   s.sunk_tag_drops = sunk_tag_drops_.load(std::memory_order_relaxed);
-  s.partitions_migrated = partitions_migrated_.load(std::memory_order_relaxed);
-  s.migrated_bytes = migrated_bytes_.load(std::memory_order_relaxed);
-  s.migrations_rejected = migrations_rejected_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -45,7 +45,6 @@
 
 #include "common/byte_buffer.h"
 #include "itask/membership.h"
-#include "itask/migration.h"
 #include "itask/partition.h"
 #include "itask/types.h"
 #include "memsim/managed_heap.h"
@@ -108,12 +107,6 @@ struct ShuffleWireId {
   Tag tag = kNoTag;
 };
 
-// Migration deliveries reuse the shuffle wire but live in their own seq
-// namespace: the high bit set (plus a private counter) can never collide with
-// a ledger seq. Consumers (the fabric's flow tracing, debug dumps) test this
-// bit to tell a migrating partition from a regular ledger delivery.
-inline constexpr std::uint64_t kMigrationSeqBit = 1ULL << 63;
-
 using DeliveryChannel =
     std::function<DeliveryStatus(int target, const ShuffleWireId&, const common::ByteBuffer&)>;
 
@@ -127,9 +120,6 @@ struct RecoveryStats {
   std::uint64_t fenced_rejects = 0;   // Stages refused (dead/stale producer).
   std::uint64_t stale_commits = 0;    // Commits refused (dead producer/epoch).
   std::uint64_t sunk_tag_drops = 0;   // Deliveries refused (tag already sunk).
-  std::uint64_t partitions_migrated = 0;   // Pressure victims shipped to a peer.
-  std::uint64_t migrated_bytes = 0;        // Payload bytes those victims carried.
-  std::uint64_t migrations_rejected = 0;   // Migration attempts that fell back to spill.
 };
 
 class RecoveryContext {
@@ -160,24 +150,20 @@ class RecoveryContext {
   void SetDeliveryChannel(DeliveryChannel channel);
 
   // Routes heartbeats through |sink| (the fabric sends them as transport
-  // messages carrying heap stats) instead of beating membership directly.
-  void SetBeatSink(std::function<void(int, std::uint64_t, std::uint64_t)> sink);
+  // messages) instead of beating membership directly.
+  void SetBeatSink(std::function<void(int)> sink);
 
   // Called with the node id whenever OnNodeLost fences a node, so the fabric
   // can close its endpoint and drop queued traffic.
   void SetNodeLostHook(std::function<void(int)> hook);
 
-  // One heartbeat from |node|'s monitor thread, carrying its heap occupancy.
-  // Without a beat sink this beats membership and feeds the migration broker
-  // directly; with one, the stats ride the transport and land in
-  // NoteRemoteHeartbeat on the driver side instead.
-  void Heartbeat(int node, std::uint64_t used_bytes, std::uint64_t capacity_bytes);
+  // One heartbeat from |node|'s monitor thread. Without a beat sink this
+  // beats membership directly; with one, the beat rides the transport and
+  // lands in NoteRemoteHeartbeat on the driver side instead.
+  void Heartbeat(int node);
 
-  // Driver-side receipt of a transport-carried heartbeat: beats membership
-  // and feeds the migration broker in one step, so liveness and headroom
-  // always advance together (a broker fed from a path that skipped Beat
-  // would rank a node the detector is about to declare dead).
-  void NoteRemoteHeartbeat(int node, std::uint64_t used_bytes, std::uint64_t capacity_bytes);
+  // Driver-side receipt of a transport-carried heartbeat.
+  void NoteRemoteHeartbeat(int node);
 
   // The transport's fault engine (or the ctrl plane) observed a partition
   // cutting |node| off. Moves it from kAlive/kSuspect into kDisconnected so
@@ -229,6 +215,12 @@ class RecoveryContext {
   }
   bool AllComplete();
 
+  // Splits |node| has committed so far (lock-free; fault injection keys
+  // kills to this progress point).
+  std::uint64_t commits(int node) const {
+    return node_commits_[static_cast<std::size_t>(node)].load(std::memory_order_relaxed);
+  }
+
   // ---- Coordinator-side repair ----
   // |node| was fenced (dead or draining): bump epochs of its uncommitted
   // splits and discard their staged entries, mark entries delivered to it for
@@ -240,40 +232,6 @@ class RecoveryContext {
   // loop so a delivery that failed transiently (target under pressure or
   // later demoted) is eventually re-driven.
   void Sweep();
-
-  // ---- Pressure-driven migration (DESIGN.md §14) ----
-  // The broker ranks peers by heartbeat-carried heap headroom; the partition
-  // manager consults it before spilling a victim.
-  MigrationBroker& broker() { return broker_; }
-  const MigrationBroker& broker() const { return broker_; }
-
-  enum class MigrateOutcome : std::uint8_t {
-    kMigrated,   // Landed on the target; the caller purges its local copy.
-    kFailed,     // Definitively never landed; ownership reverted to the
-                 // source — the caller re-queues locally and spills instead.
-    kAbandoned,  // Ambiguous (acks exhausted on a live target): the frame may
-                 // or may not have landed, so reverting could double-execute.
-                 // Treated like the data dying in transit: the split's epoch
-                 // is bumped and it re-executes from durable bytes; a landed
-                 // stray copy's outputs are epoch-fenced. Caller purges.
-  };
-
-  // Ships |dp| — a victim already removed from the source queue and pinned,
-  // so the caller holds exclusive ownership — to |target|, re-keying split
-  // ownership through the same assigned_node/EffectiveOwner lineage a node
-  // death uses. Ownership is remapped *before* the frame is sent: if the
-  // target dies at any later moment, OnNodeLost(target) discards every
-  // (split, epoch) entry — including outputs the source staged before the
-  // move — and re-executes from the durable store, exactly as if the split
-  // had always lived there. Only uncommitted, still-queued input splits
-  // assigned to |source| qualify; anything else fails fast (kFailed).
-  MigrateOutcome MigratePartition(int source, int target, const PartitionPtr& dp);
-
-  // Counted when the three-way decision considered and rejected migration
-  // (no destination, cost model, ineligible victim, delivery failure).
-  void NoteMigrationRejected() {
-    migrations_rejected_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   RecoveryStats stats() const;
 
@@ -323,14 +281,13 @@ class RecoveryContext {
 
   RecoveryConfig config_;
   Membership membership_;
-  MigrationBroker broker_;
   obs::Tracer* tracer_ = nullptr;
   std::uint64_t trace_id_ = 0;
 
   // Net-transport hooks. Written during wiring (single-threaded), read by the
   // delivery path and monitor threads afterwards.
   DeliveryChannel delivery_channel_;
-  std::function<void(int, std::uint64_t, std::uint64_t)> beat_sink_;
+  std::function<void(int)> beat_sink_;
   std::function<void(int)> node_lost_hook_;
 
   mutable std::mutex mu_;
@@ -363,13 +320,7 @@ class RecoveryContext {
   std::atomic<std::uint64_t> fenced_rejects_{0};
   std::atomic<std::uint64_t> stale_commits_{0};
   std::atomic<std::uint64_t> sunk_tag_drops_{0};
-  std::atomic<std::uint64_t> partitions_migrated_{0};
-  std::atomic<std::uint64_t> migrated_bytes_{0};
-  std::atomic<std::uint64_t> migrations_rejected_{0};
-  // Migration frames dedup alongside ledger entries on the receiver's
-  // (split, epoch, seq) sets; the high bit keeps their seqs out of the
-  // ledger's per-(split, epoch) namespace.
-  std::atomic<std::uint64_t> migration_seq_{0};
+  std::vector<std::atomic<std::uint64_t>> node_commits_;
 };
 
 }  // namespace itask::core

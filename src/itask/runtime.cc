@@ -420,15 +420,12 @@ void IrsRuntime::MonitorLoop() {
     }
     if (recovery_ != nullptr) {
       // Heartbeat into the coordinator's failure detector, at the configured
-      // cadence (the monitor may tick faster than ITASK_HEARTBEAT_MS). The
-      // beat carries the node's heap occupancy so a remote coordinator sees
-      // memory pressure without a separate stats channel.
+      // cadence (the monitor may tick faster than ITASK_HEARTBEAT_MS).
       auto& membership = recovery_->membership();
       const auto beat_ns = static_cast<std::uint64_t>(
           recovery_->config().heartbeat_ms * 1e6);
       if (membership.NsSinceBeat(services_.node_id) >= beat_ns) {
-        recovery_->Heartbeat(services_.node_id, heap->used_bytes(),
-                             heap->capacity());
+        recovery_->Heartbeat(services_.node_id);
       }
     }
 

@@ -104,7 +104,6 @@ class IrsRuntime {
   // membership view, completed activations commit to its ledger, and escaped
   // OMEs demote the node to draining instead of aborting the job.
   void EnableFaultTolerance(RecoveryContext* recovery) { recovery_ = recovery; }
-  RecoveryContext* recovery() { return recovery_; }
 
   // Fences the node out of the job (it was declared dead or is draining):
   // running tasks stop at their next safe point, SelectWork dispatches
@@ -147,6 +146,7 @@ class IrsRuntime {
   void CountEmitMetrics(const TaskSpec& spec, const DataPartition& out, bool at_interrupt);
   bool ShouldInterrupt(int worker_id);
   void CountTuple(int worker_id) { sched_.CountTuple(worker_id); }
+  void StampOmeInterrupt(int worker_id) { sched_.StampOmeInterrupt(worker_id); }
   void NoteProcessedInputReleased(std::uint64_t bytes) {
     released_processed_input_->Add(bytes);
   }

@@ -196,6 +196,13 @@ bool Scheduler::ApproveTermination(int worker_id) {
       std::memory_order_acquire);
 }
 
+void Scheduler::StampOmeInterrupt(int worker_id) {
+  Worker& worker = *workers_[static_cast<std::size_t>(worker_id)];
+  worker.terminate_rule.store(static_cast<std::uint8_t>(obs::InterruptRule::kOme),
+                              std::memory_order_relaxed);
+  worker.terminate_request_ns.store(runtime_->tracer()->NowNs(), std::memory_order_relaxed);
+}
+
 void Scheduler::CountTuple(int worker_id) {
   workers_[static_cast<std::size_t>(worker_id)]->tuples.fetch_add(1, std::memory_order_relaxed);
 }
@@ -273,7 +280,8 @@ void Scheduler::WorkerLoop(int id) {
     const int spec_id = work.spec->id;  // ExecuteActivation clears |work|.
     const bool completed = runtime_->ExecuteActivation(id, work);
 
-    // Interrupt latency: monitor-request stamp -> the scale loop yielding.
+    // Interrupt latency: request stamp (monitor victim selection or an
+    // absorbed OME) -> the scale loop yielding.
     const std::uint64_t request_ns =
         self.terminate_request_ns.exchange(0, std::memory_order_relaxed);
     if (!completed) {

@@ -70,6 +70,10 @@ class Scheduler {
   // Scale-loop hooks.
   bool ApproveTermination(int worker_id);
   void CountTuple(int worker_id);
+  // The activation on |worker_id| absorbed an OME as a forced interrupt:
+  // stamps the request time with cause kOme, so the yield records its
+  // latency exactly like a monitor-requested interrupt.
+  void StampOmeInterrupt(int worker_id);
 
   int active_count() const { return active_.load(std::memory_order_relaxed); }
   int target() const { return target_.load(std::memory_order_relaxed); }

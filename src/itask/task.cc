@@ -54,6 +54,9 @@ void TaskContext::NoteProcessedInputReleased(std::uint64_t bytes) {
 }
 
 void TaskContext::NoteOmeInterrupt(const PartitionPtr& dp, std::size_t tuples_processed) {
+  // Stamped first: the synchronous spill relief below is part of the
+  // interrupt's latency.
+  runtime_->StampOmeInterrupt(worker_id_);
   runtime_->NoteOmeInterrupt(dp, tuples_processed);
 }
 

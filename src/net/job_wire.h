@@ -27,14 +27,9 @@ struct JobSpec {
   std::uint64_t seed = 42;
   double deadline_ms = 60000.0;
   bool fault_tolerance = false;
-  // Per-node heap skew for the daemon's local cluster: node 0 keeps heap_kb,
-  // every other node gets heap_kb * skew. 1.0 = uniform. >1.0 starves node 0
-  // relative to its peers, which is how a dispatched job provokes
-  // pressure-driven migration (the same knob chaos_run exposes).
-  double skew = 1.0;
 };
 
-inline constexpr std::uint32_t kJobSpecVersion = 2;
+inline constexpr std::uint32_t kJobSpecVersion = 3;
 
 inline void EncodeJobSpec(const JobSpec& spec, common::ByteBuffer* out) {
   serde::Writer w(out);
@@ -48,7 +43,6 @@ inline void EncodeJobSpec(const JobSpec& spec, common::ByteBuffer* out) {
   w.WriteVarint(spec.seed);
   w.WriteDouble(spec.deadline_ms);
   w.WriteU8(spec.fault_tolerance ? 1 : 0);
-  w.WriteDouble(spec.skew);
 }
 
 inline JobSpec DecodeJobSpec(common::ByteBuffer* buf) {
@@ -67,7 +61,6 @@ inline JobSpec DecodeJobSpec(common::ByteBuffer* buf) {
   spec.seed = r.ReadVarint();
   spec.deadline_ms = r.ReadDouble();
   spec.fault_tolerance = r.ReadU8() != 0;
-  spec.skew = r.ReadDouble();
   return spec;
 }
 

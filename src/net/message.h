@@ -22,7 +22,8 @@ inline constexpr int kDriverEndpoint = -1;
 enum class MsgKind : std::uint8_t {
   kShuffleData = 0,  // Ledger delivery: payload = serialized partition bytes.
   kShuffleAck,       // Receiver's delivery verdict (see AckStatus in |a|).
-  kHeartbeat,        // a=heap used bytes, b=heap capacity bytes.
+  kHeartbeat,        // Ctrl beats: a=heap used bytes, b=heap capacity bytes.
+                     // Fabric beats carry no payload.
   kJoin,             // Control: text=node name, a=heap capacity,
                      // b=previous node id + 1 for a session resume (0=fresh).
   kJoinAck,          // Control: a=assigned node id, b=cluster size,

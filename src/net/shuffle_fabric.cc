@@ -18,7 +18,6 @@ ShuffleFabric::ShuffleFabric(const NetConfig& config, core::RecoveryContext* rec
       seen_(static_cast<std::size_t>(num_nodes)) {
   for (int i = 0; i < num_nodes; ++i) {
     seen_mu_.push_back(std::make_unique<std::mutex>());
-    heap_used_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
   }
   transport_->RegisterEndpoint(kDriverEndpoint,
                                [this](Message&& msg) { HandleDriverMessage(std::move(msg)); });
@@ -30,13 +29,11 @@ ShuffleFabric::ShuffleFabric(const NetConfig& config, core::RecoveryContext* rec
       [this](int target, const core::ShuffleWireId& id, const common::ByteBuffer& bytes) {
         return Deliver(target, id, bytes);
       });
-  recovery_->SetBeatSink([this](int node, std::uint64_t used, std::uint64_t cap) {
+  recovery_->SetBeatSink([this](int node) {
     Message hb;
     hb.kind = MsgKind::kHeartbeat;
     hb.src = node;
     hb.dst = kDriverEndpoint;
-    hb.a = used;
-    hb.b = cap;
     heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
     transport_->Send(std::move(hb));  // Droppable: never block the monitor.
   });
@@ -65,13 +62,6 @@ void ShuffleFabric::CloseNode(int node) {
   if (node >= 0 && node < num_nodes_) {
     transport_->CloseEndpoint(node);
   }
-}
-
-std::uint64_t ShuffleFabric::HeapUsedBytes(int node) const {
-  if (node < 0 || node >= num_nodes_) {
-    return 0;
-  }
-  return heap_used_[static_cast<std::size_t>(node)]->load(std::memory_order_relaxed);
 }
 
 core::DeliveryStatus ShuffleFabric::Deliver(int target, const core::ShuffleWireId& id,
@@ -151,12 +141,7 @@ void ShuffleFabric::HandleDriverMessage(Message&& msg) {
     }
     case MsgKind::kHeartbeat: {
       if (msg.src >= 0 && msg.src < num_nodes_) {
-        heap_used_[static_cast<std::size_t>(msg.src)]->store(msg.a,
-                                                             std::memory_order_relaxed);
-        // One entry point for both liveness and headroom: the migration
-        // broker must never learn about a node the detector didn't just
-        // hear from, or stale stats would outlive the staleness cutoff.
-        recovery_->NoteRemoteHeartbeat(msg.src, msg.a, msg.b);
+        recovery_->NoteRemoteHeartbeat(msg.src);
       }
       break;
     }
@@ -227,10 +212,8 @@ void ShuffleFabric::EmitFlow(obs::EventKind kind, std::uint16_t lane,
   if (tracer == nullptr || msg.span == 0) {
     return;
   }
-  const std::uint8_t flags =
-      (msg.seq & core::kMigrationSeqBit) != 0 ? obs::kFlagMigration : 0;
   tracer->Emit(kind, lane, msg.span, msg.payload.size(),
-               obs::FlowAux(peer, static_cast<std::uint8_t>(msg.kind)), flags);
+               obs::FlowAux(peer, static_cast<std::uint8_t>(msg.kind)));
 }
 
 FabricStats ShuffleFabric::stats() const {

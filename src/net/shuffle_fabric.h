@@ -12,8 +12,8 @@
 //    (split, epoch, seq) makes sender retries after a lost ack idempotent —
 //    those drops are counted here (dup_payloads_dropped), separately from the
 //    ledger's own duplicates_dropped audit counter, which must stay zero.
-//  - beat sink: each node's monitor heartbeat travels as a kHeartbeat message
-//    carrying heap occupancy; the driver handler beats membership. Over the
+//  - beat sink: each node's monitor heartbeat travels as a kHeartbeat message;
+//    the driver handler beats membership. Over the
 //    inproc backend this collapses to a synchronous Beat() — byte-for-byte
 //    the pre-net behavior.
 //  - node-lost hook: OnNodeLost closes the dead node's endpoint so queued
@@ -61,9 +61,6 @@ class ShuffleFabric {
   // Closes |node|'s endpoint (kill fault / death declaration). Idempotent.
   void CloseNode(int node);
 
-  // Last reported heap occupancy per node (from heartbeat carriage).
-  std::uint64_t HeapUsedBytes(int node) const;
-
   Transport& transport() { return *transport_; }
   FabricStats stats() const;
 
@@ -96,8 +93,6 @@ class ShuffleFabric {
   // never drops a legitimate redelivery.
   std::vector<std::set<std::tuple<std::int64_t, std::uint32_t, std::uint64_t>>> seen_;
   std::vector<std::unique_ptr<std::mutex>> seen_mu_;
-
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> heap_used_;
 
   std::atomic<std::uint64_t> deliveries_sent_{0};
   std::atomic<std::uint64_t> acks_ok_{0};

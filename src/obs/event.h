@@ -51,10 +51,7 @@ enum class EventKind : std::uint8_t {
   kTenantShed,           // aux=job id, a=own overage bytes (over budget: full REDUCE)
   kNetFlush,             // aux=destination endpoint+1, a=messages in the batch, b=frame wire bytes
   kNetStall,             // aux=destination endpoint+1, a=stall_ns blocked on a full send queue, b=queue depth
-  kPartitionMigrated,    // aux=type id, a=payload bytes shipped, b=destination node
-  kMigrationRejected,    // aux=type id, a=payload bytes considered, b=reject reason (MigrationReject)
-  kMsgSend,              // aux=FlowAux(peer, msg kind), a=span id, b=payload bytes;
-                         // flags&kFlagMigration when the payload is a migrating partition
+  kMsgSend,              // aux=FlowAux(peer, msg kind), a=span id, b=payload bytes
   kMsgRecv,              // same encoding, emitted at receipt; a pairs it with its kMsgSend
   kNetFaultInjected,     // aux=FaultAux(dst, fault kind), a=frame serial, b=payload bytes affected
   kCtrlReconnect,        // aux=node id, a=attempts used, b=results re-shipped on resume
@@ -84,9 +81,6 @@ enum class InterruptRule : std::uint8_t {
 };
 
 inline constexpr std::uint8_t kFlagLugc = 0x1;  // kGc: the collection was useless.
-// kMsgSend/kMsgRecv: the shuffle frame carries a migrating partition (its seq
-// lives in the migration namespace), not a regular ledger delivery.
-inline constexpr std::uint8_t kFlagMigration = 0x2;
 
 // kMsgSend/kMsgRecv aux packing: low 8 bits are the wire MsgKind, the rest is
 // the remote endpoint biased by +2 so the driver endpoint (-1) stays
@@ -154,8 +148,6 @@ constexpr const char* EventKindName(EventKind kind) {
     case EventKind::kTenantShed: return "tenant_shed";
     case EventKind::kNetFlush: return "net_flush";
     case EventKind::kNetStall: return "net_stall";
-    case EventKind::kPartitionMigrated: return "partition_migrated";
-    case EventKind::kMigrationRejected: return "migration_rejected";
     case EventKind::kMsgSend: return "msg_send";
     case EventKind::kMsgRecv: return "msg_recv";
     case EventKind::kNetFaultInjected: return "net_fault_injected";

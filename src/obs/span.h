@@ -2,7 +2,7 @@
 // (DESIGN.md §15).
 //
 // Every net::Message that matters causally (shuffle deliveries, acks,
-// migrations, ctrl dispatch/result) is stamped with a (trace, span) pair at
+// ctrl dispatch/result) is stamped with a (trace, span) pair at
 // the send site; the receive site echoes the span into its own kMsgRecv
 // event, so a merged trace pairs the two ends without any shared state. Span
 // ids are a pure hash of the message's exactly-once identity under the job's

@@ -17,10 +17,7 @@ namespace {
 // below net, so it cannot include the enum; net/message.h carries the matching
 // static_assert). A send and its recv always compute the same name — Chrome
 // pairs flow events by (name, id).
-const char* FlowEventName(std::uint8_t msg_kind, bool migration) {
-  if (migration) {
-    return "flow_migration";
-  }
+const char* FlowEventName(std::uint8_t msg_kind) {
   switch (msg_kind) {
     case 0: return "flow_shuffle";
     case 1: return "flow_shuffle_ack";
@@ -55,7 +52,7 @@ void AppendEventJson(std::string& out, const Event& event) {
   const char* name = EventKindName(event.kind);
   const char* ph = is_gc ? "X" : "i";
   if (is_flow) {
-    name = FlowEventName(FlowMsgKind(event.aux), (event.flags & kFlagMigration) != 0);
+    name = FlowEventName(FlowMsgKind(event.aux));
     ph = event.kind == EventKind::kMsgSend ? "s" : "f";
   }
   std::snprintf(buf, sizeof(buf),
@@ -465,7 +462,6 @@ void WriteTraceSummary(std::ostream& os, const std::vector<Event>& events,
   std::uint64_t msg_sends = 0;
   std::uint64_t msg_recvs = 0;
   std::uint64_t msg_bytes = 0;
-  std::uint64_t migration_msgs = 0;
   std::map<std::string, std::uint64_t> interrupts_by_rule;
   for (const Event& event : events) {
     ++by_kind[EventKindName(event.kind)];
@@ -503,9 +499,6 @@ void WriteTraceSummary(std::ostream& os, const std::vector<Event>& events,
       case EventKind::kMsgSend:
         ++msg_sends;
         msg_bytes += event.b;
-        if (event.flags & kFlagMigration) {
-          ++migration_msgs;
-        }
         break;
       case EventKind::kMsgRecv:
         ++msg_recvs;
@@ -536,7 +529,7 @@ void WriteTraceSummary(std::ostream& os, const std::vector<Event>& events,
   }
   if (msg_sends != 0 || msg_recvs != 0) {
     os << "  message flows: sends=" << msg_sends << " recvs=" << msg_recvs
-       << " bytes=" << msg_bytes << " migrations=" << migration_msgs << "\n";
+       << " bytes=" << msg_bytes << "\n";
   }
   if (spill_write_bytes != 0 || spill_read_bytes != 0) {
     os << "  spill io: written=" << spill_write_bytes << "B read=" << spill_read_bytes
@@ -578,8 +571,7 @@ void WriteTraceTimeline(std::ostream& os, const std::vector<Event>& events,
     } else if (IsFlowKind(event.kind)) {
       std::snprintf(buf, sizeof(buf), " peer=%d span=0x%" PRIx64 " %s",
                     FlowPeer(event.aux), event.a,
-                    FlowEventName(FlowMsgKind(event.aux),
-                                  (event.flags & kFlagMigration) != 0));
+                    FlowEventName(FlowMsgKind(event.aux)));
       os << buf;
     }
     os << "\n";

@@ -203,6 +203,8 @@ TEST(IrsWordCountTest, PressuredRunMatchesReference) {
   const auto result = RunWordCount(/*heap=*/600 << 10, /*corpus=*/512 << 10, /*vocab=*/2'000);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.counts, ReferenceCounts(512 << 10, 2'000));
+  // Every interrupt, monitor-requested or OME-forced, records its latency.
+  EXPECT_EQ(result.metrics.interrupt_latency_hist.count, result.metrics.interrupts);
 }
 
 TEST(IrsWordCountTest, MetricsArePopulated) {
@@ -321,6 +323,83 @@ TEST(IrsPressureTest, BulkyPipelineSurvivesSmallHeap) {
   // interrupted tasks and/or lazily serialized partitions to survive.
   EXPECT_GT(metrics.interrupts + metrics.lugc_count + metrics.spilled_bytes, 0u);
   EXPECT_LE(metrics.peak_heap_bytes, cc.heap.capacity_bytes);
+}
+
+// ---- OME-forced interrupts: latency is recorded like a monitor request ----
+
+// Sums its input, but the first activation to reach tuple 3 throws an OME
+// from Process — the scale loop absorbs it as a forced interrupt and the
+// partition re-runs from the activation's start.
+class OmeOnceTask : public ITask<SumPartition> {
+ public:
+  OmeOnceTask(TypeId out_type, std::atomic<bool>* thrown)
+      : out_type_(out_type), thrown_(thrown) {}
+
+  void Initialize(TaskContext& /*ctx*/) override { sum_ = 0; }
+  void Process(TaskContext& /*ctx*/, const std::uint64_t& v) override {
+    if (v == 3 && !thrown_->exchange(true)) {
+      throw memsim::OutOfMemoryError("injected");
+    }
+    sum_ += v;
+  }
+  void Interrupt(TaskContext& ctx) override { EmitSum(ctx); }
+  void Cleanup(TaskContext& ctx) override { EmitSum(ctx); }
+
+ private:
+  void EmitSum(TaskContext& ctx) {
+    auto out = std::make_shared<SumPartition>(out_type_, ctx.heap(), ctx.spill());
+    out->Append(sum_);
+    ctx.Emit(std::move(out));
+    sum_ = 0;
+  }
+  TypeId out_type_;
+  std::atomic<bool>* thrown_;
+  std::uint64_t sum_ = 0;
+};
+
+TEST(IrsInterruptLatencyTest, OmeForcedInterruptsRecordLatency) {
+  cluster::ClusterConfig cc;
+  cc.num_nodes = 1;
+  cc.heap.capacity_bytes = 8 << 20;
+  cc.heap.real_pauses = false;
+  cluster::Cluster cl(cc);
+  cluster::ItaskJob job(cl, IrsConfig{});
+
+  const TypeId in_t = TypeIds::Get("omelat.in");
+  const TypeId out_t = TypeIds::Get("omelat.out");
+  std::atomic<bool> thrown{false};
+  job.RegisterTaskPerNode([&](int) {
+    TaskSpec spec;
+    spec.name = "ome_once";
+    spec.input_type = in_t;
+    spec.output_type = out_t;
+    spec.factory = [out_t, &thrown] { return std::make_unique<OmeOnceTask>(out_t, &thrown); };
+    return spec;
+  });
+  std::atomic<std::uint64_t> total{0};
+  job.SetSinkPerNode([&](int) {
+    return [&](PartitionPtr out) {
+      auto* sums = static_cast<SumPartition*>(out.get());
+      for (std::size_t i = 0; i < sums->TupleCount(); ++i) {
+        total.fetch_add(sums->At(i));
+      }
+      out->DropPayload();
+    };
+  });
+  const bool ok = job.Run([&] {
+    auto part = std::make_shared<SumPartition>(in_t, &cl.node(0).heap(), &cl.node(0).spill());
+    for (std::uint64_t v = 1; v <= 10; ++v) {
+      part->Append(v);
+    }
+    job.runtime(0).Push(std::move(part));
+  });
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(total.load(), 55u);  // The restart discarded the partial sum.
+
+  const auto metrics = job.Metrics();
+  EXPECT_EQ(metrics.ome_interrupts, 1u);
+  EXPECT_GE(metrics.interrupts, 1u);
+  EXPECT_EQ(metrics.interrupt_latency_hist.count, metrics.interrupts);
 }
 
 // ---- Abort path: a tuple that can never fit ----

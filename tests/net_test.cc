@@ -996,8 +996,8 @@ TEST(MetricsWire, RunMetricsRoundTripsWithHistograms) {
   m.spilled_bytes = 9ull << 20;
   m.net_msgs_sent = 41;
   m.net_bytes_sent = 5ull << 20;
-  m.partitions_migrated = 3;
-  m.migrated_bytes = 768 << 10;
+  m.splits_reexecuted = 3;
+  m.shuffle_redeliveries = 768 << 10;
   m.events_dropped = 11;
   obs::Histogram interrupt_hist(obs::InterruptLatencyBoundsNs());
   obs::Histogram gc_hist(obs::GcPauseBoundsNs());
@@ -1019,8 +1019,8 @@ TEST(MetricsWire, RunMetricsRoundTripsWithHistograms) {
   EXPECT_EQ(d.spilled_bytes, m.spilled_bytes);
   EXPECT_EQ(d.net_msgs_sent, m.net_msgs_sent);
   EXPECT_EQ(d.net_bytes_sent, m.net_bytes_sent);
-  EXPECT_EQ(d.partitions_migrated, m.partitions_migrated);
-  EXPECT_EQ(d.migrated_bytes, m.migrated_bytes);
+  EXPECT_EQ(d.splits_reexecuted, m.splits_reexecuted);
+  EXPECT_EQ(d.shuffle_redeliveries, m.shuffle_redeliveries);
   EXPECT_EQ(d.events_dropped, m.events_dropped);
   // Histograms survive bucket-exactly, so cluster-side quantiles match the
   // daemon's own view.

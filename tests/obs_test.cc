@@ -382,13 +382,13 @@ TEST(TraceExportTest, FlowEventsExportAsSendRecvPairs) {
   tracer.EmitAt(2'000'000, EventKind::kMsgRecv, 1, 0, span, /*b=*/2048,
                 FlowAux(/*peer=*/0, /*msg_kind=*/0));
   tracer.EmitAt(3'000'000, EventKind::kMsgSend, 1, 0, span + 1, /*b=*/4096,
-                FlowAux(/*peer=*/0, /*msg_kind=*/0), kFlagMigration);
+                FlowAux(/*peer=*/0, /*msg_kind=*/1));
   const std::string json = ChromeTraceJson(tracer.Snapshot());
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("flow_shuffle"), std::string::npos);
-  EXPECT_NE(json.find("flow_migration"), std::string::npos);
+  EXPECT_NE(json.find("flow_shuffle_ack"), std::string::npos);
 
   std::vector<ParsedEvent> parsed;
   std::string error;
@@ -403,6 +403,7 @@ TEST(TraceExportTest, FlowEventsExportAsSendRecvPairs) {
   EXPECT_EQ(parsed[0].b, 2048u);
   EXPECT_EQ(FlowPeer(parsed[0].aux), 1);
   EXPECT_EQ(FlowMsgKind(parsed[0].aux), 0);
+  EXPECT_EQ(FlowMsgKind(parsed[2].aux), 1);
 }
 
 TEST(TraceExportTest, NetEventsDecodeEndpointField) {

@@ -94,7 +94,9 @@ TEST_P(KillNodeTest, KilledNodeRecoversWithIdenticalFingerprint) {
 
   for (int victim : {0, 1, 3}) {
     cluster::FailureModel model;
-    model.ScheduleKill(victim, 2.0);
+    // Kill at a progress point, not a wall-clock guess: a fast app (HJ) can
+    // otherwise finish the victim's share before the kill lands.
+    model.ScheduleKill(victim, /*at_ms=*/0.0, /*after_commits=*/1);
     const AppResult faulted = RunFt(app, FtConfig(), &model);
     ASSERT_TRUE(faulted.metrics.succeeded)
         << app << " kill node " << victim << ": " << faulted.metrics.Summary();
@@ -108,6 +110,37 @@ TEST_P(KillNodeTest, KilledNodeRecoversWithIdenticalFingerprint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, KillNodeTest, ::testing::Values("WC", "HS", "HJ"));
+
+// ---- The same kill on heaps small enough to interrupt and spill ----
+
+class PressuredKillNodeTest : public RecoveryTest,
+                              public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(PressuredKillNodeTest, KilledNodeUnderPressureRecoversWithIdenticalFingerprint) {
+  const char* app = GetParam();
+  const AppResult reference = RunFt(app, FtConfig());
+  ASSERT_TRUE(reference.metrics.succeeded);
+  ASSERT_GT(reference.records, 0u);
+
+  // 256 KB heaps against 512 KB of input: every node interrupts (mostly on
+  // OMEs) and spills, and the survivors re-execute the victim's splits on
+  // heaps that are already full.
+  cluster::FailureModel model;
+  model.ScheduleKill(/*node=*/1, /*at_ms=*/0.0, /*after_commits=*/1);
+  auto cluster = MakeCluster(256 << 10, 4);
+  AppConfig config = FtConfig();
+  config.failure_model = &model;
+  const AppResult faulted = RunHyracksApp(app, cluster, config, Mode::kITask);
+  ASSERT_TRUE(faulted.metrics.succeeded) << app << ": " << faulted.metrics.Summary();
+  // The heaps really were pressured: the scale loops were interrupted.
+  EXPECT_GE(faulted.metrics.interrupts + faulted.metrics.ome_interrupts, 1u) << app;
+  EXPECT_EQ(faulted.checksum, reference.checksum) << app;
+  EXPECT_EQ(faulted.records, reference.records) << app;
+  EXPECT_EQ(faulted.metrics.duplicate_tuples_dropped, 0u) << app;
+  EXPECT_GE(faulted.metrics.nodes_failed, 1u) << app;
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, PressuredKillNodeTest, ::testing::Values("WC", "HS"));
 
 // ---- Graceful degradation: escaped OME demotes to draining ----
 

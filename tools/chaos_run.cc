@@ -45,12 +45,6 @@
 // — the fabric only exists under the recovery context. The fingerprint checks
 // then prove wire framing, batching and redelivery don't change results.
 //
-// Skew (--skew=R, R > 1, enables the fault-tolerance layer): node 0 keeps
-// --heap-kb while every peer gets R x that capacity — the Fig-11-style
-// skewed-pressure topology where node 0 interrupts constantly and its peers
-// have headroom, so SERIALIZE can migrate victims instead of spilling. The
-// JSON summary carries the migration counters CI asserts on.
-//
 // Usage:
 //   chaos_run [--seeds N] [--start S] [--apps WC,HS,HJ] [--keep-going]
 //             [--heap-kb K] [--dataset-kb K] [--gran-kb K] [--nodes N]
@@ -58,7 +52,7 @@
 //             [--kill-node=I@MS] [--hang-node=I@MS] [--poison-node=I@MS]
 //             [--disconnect-node=I@MS] [--heal-node=I@MS]
 //             [--net-faults=SPEC|SEED]
-//             [--transport=inproc|tcp|uds] [--skew R] [--json]
+//             [--transport=inproc|tcp|uds] [--json]
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -94,7 +88,6 @@ struct Options {
   double deadline_ms = 60000.0;
   std::vector<itask::cluster::NodeFault> node_faults;
   itask::net::TransportKind transport = itask::net::TransportKind::kInproc;
-  double skew = 0.0;  // > 1 gives peers skew x node 0's heap (header comment).
   bool json = false;
   itask::net::NetFaultPlan net_fault_plan;  // Inactive unless --net-faults.
 };
@@ -190,10 +183,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
         std::exit(2);
       }
       opt->transport = *kind;
-    } else if (std::strncmp(argv[i], "--skew=", 7) == 0) {
-      opt->skew = std::atof(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--skew") == 0) {
-      opt->skew = std::atof(value());
     } else if (std::strcmp(argv[i], "--json") == 0) {
       opt->json = true;
     } else if (std::strcmp(argv[i], "--seeds") == 0) {
@@ -209,9 +198,7 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (std::strcmp(argv[i], "--dataset-kb") == 0) {
       opt->dataset_kb = std::strtoull(value(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--gran-kb") == 0) {
-      // Split granularity. Migration's cost model only favors the wire above
-      // ~50 KB with default knobs (the RTT dominates small payloads), so
-      // skewed-pressure runs want 64 KB splits rather than the 16 KB default.
+      // Split granularity.
       opt->gran_kb = std::strtoull(value(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--nodes") == 0) {
       opt->nodes = std::atoi(value());
@@ -234,10 +221,9 @@ itask::apps::AppConfig MakeAppConfig(const Options& opt) {
   config.deadline_ms = opt.deadline_ms;
   // Socket transports require the recovery context: the fabric hangs off the
   // shuffle ledger's delivery path, so every run becomes fault-tolerant.
-  // Skewed-pressure runs need it too — migration ledgers through recovery.
   config.fault_tolerance = !opt.node_faults.empty() ||
                            opt.transport != itask::net::TransportKind::kInproc ||
-                           opt.skew > 1.0 || opt.net_fault_plan.active();
+                           opt.net_fault_plan.active();
   return config;
 }
 
@@ -274,21 +260,12 @@ void AppendMetricsJson(std::string* out, const itask::common::RunMetrics& m) {
 }
 
 itask::cluster::Cluster MakeCluster(const Options& opt, std::uint64_t heap_kb,
-                                    const itask::chaos::FaultPlan* plan,
-                                    bool apply_skew = true) {
+                                    const itask::chaos::FaultPlan* plan) {
   itask::cluster::ClusterConfig cc;
   cc.num_nodes = opt.nodes;
   cc.heap.capacity_bytes = heap_kb << 10;
   cc.heap.real_pauses = false;  // Pause accounting without burning CPU.
   cc.net.kind = opt.transport;
-  if (apply_skew && opt.skew > 1.0) {
-    // Node 0 keeps heap_kb; every peer gets skew x that — one pressured node
-    // surrounded by memory-rich migration destinations.
-    cc.per_node_heap_bytes.assign(
-        static_cast<std::size_t>(opt.nodes),
-        static_cast<std::uint64_t>(static_cast<double>(heap_kb << 10) * opt.skew));
-    cc.per_node_heap_bytes[0] = heap_kb << 10;
-  }
   if (plan != nullptr && plan->spill_write_fail_p > 0.0) {
     cc.io.failure.write_probability = plan->spill_write_fail_p;
     cc.io.failure.seed = plan->spill_fail_seed;
@@ -358,7 +335,7 @@ int main(int argc, char** argv) {
   itask::chaos::SetAuditEnabled(true);
   std::map<std::string, itask::apps::AppResult> reference;
   for (const std::string& app : opt.apps) {
-    auto cluster = MakeCluster(opt, /*heap_kb=*/64 << 10, nullptr, /*apply_skew=*/false);
+    auto cluster = MakeCluster(opt, /*heap_kb=*/64 << 10, nullptr);
     const auto result =
         itask::apps::RunHyracksApp(app, cluster, MakeAppConfig(opt), itask::apps::Mode::kITask);
     if (!result.metrics.succeeded || !result.audit_violations.empty() ||

@@ -11,14 +11,12 @@
 //   net_driver --daemons N [--spawn] [--apps WC,HS,HJ] [--port 0]
 //              [--heap-kb K] [--dataset-kb K] [--nodes N] [--deadline-ms D]
 //              [--daemon-bin PATH] [--join-timeout-ms MS]
-//              [--ft] [--skew R] [--trace-dir DIR]
+//              [--ft] [--trace-dir DIR]
 //
 // --ft enables the fault-tolerance layer in both the reference run and the
-// dispatched jobs; --skew R (> 1) gives peers R x node 0's heap, the
-// skewed-pressure topology that exercises migration. --trace-dir arms causal
-// tracing: the driver writes its ctrl-plane trace (and, with --spawn, each
-// daemon writes its own per-process files) into DIR, ready for
-// `trace_dump --merge`.
+// dispatched jobs. --trace-dir arms causal tracing: the driver writes its
+// ctrl-plane trace (and, with --spawn, each daemon writes its own
+// per-process files) into DIR, ready for `trace_dump --merge`.
 //
 // Without --spawn, start daemons by hand:  node_daemon --port <printed port>
 #include <sys/types.h>
@@ -59,7 +57,6 @@ struct Options {
   int join_timeout_ms = 15000;
   int result_timeout_ms = 120000;
   bool ft = false;
-  double skew = 1.0;          // > 1: peers get skew x node 0's heap.
   std::string trace_dir;      // Non-empty arms ctrl-plane causal tracing.
 };
 
@@ -113,8 +110,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       opt->result_timeout_ms = std::atoi(value());
     } else if (std::strcmp(argv[i], "--ft") == 0) {
       opt->ft = true;
-    } else if (std::strcmp(argv[i], "--skew") == 0) {
-      opt->skew = std::atof(value());
     } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
       opt->trace_dir = value();
     } else {
@@ -155,19 +150,6 @@ pid_t SpawnDaemon(const std::string& bin, int port, int index, std::uint64_t hea
   }
   std::fprintf(stderr, "net_driver: exec %s failed\n", bin.c_str());
   ::_exit(127);
-}
-
-// Mirrors chaos_run's skewed-pressure topology: node 0 keeps |heap_kb|, every
-// peer gets skew x that. Applied identically to the local reference run and
-// (via JobSpec.skew) the daemons, so fingerprints stay comparable.
-void ApplySkew(itask::cluster::ClusterConfig* cc, std::uint64_t heap_kb, double skew) {
-  if (skew <= 1.0) {
-    return;
-  }
-  cc->per_node_heap_bytes.assign(
-      static_cast<std::size_t>(cc->num_nodes),
-      static_cast<std::uint64_t>(static_cast<double>(heap_kb << 10) * skew));
-  cc->per_node_heap_bytes[0] = heap_kb << 10;
 }
 
 }  // namespace
@@ -214,7 +196,6 @@ int main(int argc, char** argv) {
     spec.dataset_kb = opt.dataset_kb;
     spec.deadline_ms = opt.deadline_ms;
     spec.fault_tolerance = opt.ft;
-    spec.skew = opt.skew;
     if (opt.gran_kb > 0) {
       spec.granularity_bytes = opt.gran_kb << 10;
     }
@@ -226,7 +207,6 @@ int main(int argc, char** argv) {
       cc.num_nodes = spec.nodes;
       cc.heap.capacity_bytes = spec.heap_kb << 10;
       cc.heap.real_pauses = false;
-      ApplySkew(&cc, spec.heap_kb, spec.skew);
       itask::cluster::Cluster cluster(cc);
       itask::apps::AppConfig ac;
       ac.dataset_bytes = spec.dataset_kb << 10;

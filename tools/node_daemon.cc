@@ -149,15 +149,6 @@ int main(int argc, char** argv) {
       cc.num_nodes = spec.nodes;
       cc.heap.capacity_bytes = spec.heap_kb << 10;
       cc.heap.real_pauses = false;
-      if (spec.skew > 1.0) {
-        // Skewed-pressure topology, mirrored from the driver's reference run:
-        // node 0 keeps heap_kb, every peer gets skew x that.
-        cc.per_node_heap_bytes.assign(
-            static_cast<std::size_t>(cc.num_nodes),
-            static_cast<std::uint64_t>(static_cast<double>(spec.heap_kb << 10) *
-                                       spec.skew));
-        cc.per_node_heap_bytes[0] = spec.heap_kb << 10;
-      }
       itask::cluster::Cluster cluster(cc);
       itask::apps::AppConfig ac;
       ac.dataset_bytes = spec.dataset_kb << 10;

@@ -3,16 +3,21 @@
 //
 //   perf_gate <baseline BENCH_overall.json> <candidate BENCH_overall.json>
 //
-// Rows are keyed by (app, transport, ft); a candidate row regresses when it
-// blows past the baseline by more than the per-metric tolerance:
+// Rows are keyed by (app, transport, ft); each row's metrics are medians of
+// bench_overall's repeated runs. A candidate row regresses when it blows past
+// the baseline by more than the per-metric tolerance:
 //
 //   wall_ms           > baseline x 2.5  (+50ms slack — CI machines vary)
-//   interrupt_p99_us  > baseline x 4.0  (+1000us slack)
+//   gc_ms             > baseline x 2.5  (+50ms slack)
+//   interrupt_p99_us  > baseline x 4.0  (+10ms slack)
 //   spilled_bytes     > baseline x 3.0  (+1MB slack)
-//   gc_share          > baseline + 0.25 (absolute)
 //
 // Multiplicative bounds with additive slack: tiny baselines (a 2ms wall, a
-// zero spill count) would otherwise flag noise as a 10x regression. A
+// zero spill count) would otherwise flag noise as a 10x regression. The p99
+// slack is wide because a row with one or two interrupts reports a single
+// latency, which spans 0-8ms from run to run. GC is gated in absolute time:
+// gc_share divides by wall time, so a speedup elsewhere would read as a GC
+// regression; it is printed for context only. A
 // candidate row that failed outright (ok=false), or a baseline row missing
 // from the candidate, always gates. Extra candidate rows are reported but
 // allowed — adding coverage is not a regression.
@@ -36,7 +41,8 @@ struct GateRow {
   std::string key;  // "app/transport" (+ "+ft").
   double wall_ms = 0.0;
   double interrupt_p99_us = 0.0;
-  double gc_share = 0.0;
+  double gc_ms = 0.0;
+  double gc_share = 0.0;  // Printed, not gated: it falls as wall time falls.
   double spilled_bytes = 0.0;
   bool ok = false;
 };
@@ -83,6 +89,7 @@ bool ParseRows(const std::string& path, std::map<std::string, GateRow>* out,
     row.key = app + "/" + transport + (RawField(line, "ft") == "true" ? "+ft" : "");
     row.wall_ms = std::atof(RawField(line, "wall_ms").c_str());
     row.interrupt_p99_us = std::atof(RawField(line, "interrupt_p99_us").c_str());
+    row.gc_ms = std::atof(RawField(line, "gc_ms").c_str());
     row.gc_share = std::atof(RawField(line, "gc_share").c_str());
     row.spilled_bytes = std::atof(RawField(line, "spilled_bytes").c_str());
     row.ok = RawField(line, "ok") == "true";
@@ -145,17 +152,17 @@ int main(int argc, char** argv) {
     const bool wall = Check(key.c_str(), "wall_ms", base.wall_ms, cand.wall_ms, 2.5,
                             50.0, &violations);
     const bool intr = Check(key.c_str(), "interrupt_p99_us", base.interrupt_p99_us,
-                            cand.interrupt_p99_us, 4.0, 1000.0, &violations);
+                            cand.interrupt_p99_us, 4.0, 10000.0, &violations);
     const bool spill = Check(key.c_str(), "spilled_bytes", base.spilled_bytes,
                              cand.spilled_bytes, 3.0, 1024.0 * 1024.0, &violations);
-    const bool gc = Check(key.c_str(), "gc_share", base.gc_share, cand.gc_share, 1.0,
-                          0.25, &violations);
+    const bool gc = Check(key.c_str(), "gc_ms", base.gc_ms, cand.gc_ms, 2.5, 50.0,
+                          &violations);
     if (wall && intr && spill && gc) {
       std::printf("perf_gate: ok %s (wall %.1f/%.1fms, int_p99 %.1f/%.1fus, "
-                  "spill %.0f/%.0fB, gc %.3f/%.3f)\n",
+                  "spill %.0f/%.0fB, gc %.1f/%.1fms, gc_share %.3f/%.3f)\n",
                   key.c_str(), cand.wall_ms, base.wall_ms, cand.interrupt_p99_us,
                   base.interrupt_p99_us, cand.spilled_bytes, base.spilled_bytes,
-                  cand.gc_share, base.gc_share);
+                  cand.gc_ms, base.gc_ms, cand.gc_share, base.gc_share);
     }
   }
   for (const auto& entry : candidate) {
